@@ -62,36 +62,43 @@ class MigrationReport:
     governance: Optional[Dict[str, Any]] = None
 
 
-def _extract_instances(
-    schema: ERSchema, mapping: Mapping, db: Database
-) -> Tuple[List[EntityInstance], List[RelationshipInstance]]:
-    crud = CrudTemplates(schema, mapping, db)
-    entities: List[EntityInstance] = []
-    relationships: List[RelationshipInstance] = []
-    hierarchy_roots = {root.name for root in schema.hierarchy_roots()}
+def _targets(schema: ERSchema, entity_name: str, change_entity: str) -> bool:
+    """True if ``change_entity`` is ``entity_name`` or an ancestor of it."""
 
+    if entity_name == change_entity:
+        return True
+    try:
+        return change_entity in {a.name for a in schema.ancestors_of(entity_name)}
+    except Exception:
+        return False
+
+
+def _instance_walk(
+    schema: ERSchema, crud: CrudTemplates
+) -> Tuple[List[Tuple[str, Tuple[Any, ...]]], List[RelationshipInstance]]:
+    """(entity set, key) of every entity instance, and every relationship instance.
+
+    Both migrators copy exactly this: the offline one reads it off a quiesced
+    database, the online one under its pinned read view.
+    """
+
+    entity_keys: List[Tuple[str, Tuple[Any, ...]]] = []
+    hierarchy_roots = {root.name for root in schema.hierarchy_roots()}
     for entity in schema.entities():
         # For hierarchies, only reconstruct from the most-specific member so
         # each logical instance is emitted exactly once.
         if entity.name in hierarchy_roots or entity.parent is not None:
             continue
-        for key in crud.entity_keys(entity.name):
-            instance = crud.get_entity(entity.name, key)
-            if instance is not None:
-                entities.append(instance)
+        entity_keys.extend((entity.name, key) for key in crud.entity_keys(entity.name))
     for root_name in hierarchy_roots:
-        members = schema.hierarchy_members(root_name)
         keys_seen: Dict[Tuple[Any, ...], str] = {}
         # walk leaves-first so the most specific membership wins
-        for member in reversed(members):
+        for member in reversed(schema.hierarchy_members(root_name)):
             for key in crud.entity_keys(member.name):
-                if key not in keys_seen:
-                    keys_seen[key] = member.name
-        for key, member_name in keys_seen.items():
-            instance = crud.get_entity(member_name, key)
-            if instance is not None:
-                entities.append(instance)
+                keys_seen.setdefault(key, member.name)
+        entity_keys.extend((member_name, key) for key, member_name in keys_seen.items())
 
+    relationships: List[RelationshipInstance] = []
     for relationship in schema.relationships():
         if relationship.identifying:
             continue
@@ -102,7 +109,34 @@ def _extract_instances(
                     relationship.name, {left.label: left_key, right.label: right_key}
                 )
             )
+    return entity_keys, relationships
+
+
+def _extract_instances(
+    schema: ERSchema, mapping: Mapping, db: Database
+) -> Tuple[List[EntityInstance], List[RelationshipInstance]]:
+    crud = CrudTemplates(schema, mapping, db)
+    entity_keys, relationships = _instance_walk(schema, crud)
+    entities = [
+        instance
+        for name, key in entity_keys
+        if (instance := crud.get_entity(name, key)) is not None
+    ]
     return entities, relationships
+
+
+def _fit_to_schema(schema: ERSchema, instance: EntityInstance) -> EntityInstance:
+    """``instance`` without the values of attributes ``schema`` no longer has
+    (attributes dropped from the schema must not be re-inserted)."""
+
+    entity = instance.entity_set
+    names = set()
+    if schema.has_entity(entity):
+        names = {a.name for a in schema.effective_attributes(entity)}
+        names.update(schema.effective_key(entity))
+    return EntityInstance(
+        entity, {k: v for k, v in instance.values.items() if k in names}
+    )
 
 
 def _transform_for_change(
@@ -115,20 +149,10 @@ def _transform_for_change(
     if change is None:
         return entities, relationships
 
-    def targets(instance: EntityInstance, entity_name: str) -> bool:
-        """True if the change's entity is the instance's entity set or an ancestor of it."""
-
-        if instance.entity_set == entity_name:
-            return True
-        try:
-            return entity_name in {a.name for a in schema.ancestors_of(instance.entity_set)}
-        except Exception:
-            return False
-
     if isinstance(change, MakeAttributeMultiValued):
         transformed = []
         for instance in entities:
-            if targets(instance, change.entity):
+            if _targets(schema, instance.entity_set, change.entity):
                 value = instance.values.get(change.attribute)
                 new_value = [] if value is None else [value]
                 transformed.append(instance.with_values(**{change.attribute: new_value}))
@@ -140,7 +164,9 @@ def _transform_for_change(
     if isinstance(change, RenameAttribute):
         transformed = []
         for instance in entities:
-            if change.old_name in instance.values and targets(instance, change.entity):
+            if change.old_name in instance.values and _targets(
+                schema, instance.entity_set, change.entity
+            ):
                 values = dict(instance.values)
                 values[change.new_name] = values.pop(change.old_name)
                 transformed.append(EntityInstance(instance.entity_set, values))
@@ -238,20 +264,13 @@ class Migrator:
         new_db = Database(name=f"{self.db.name}_migrated")
         new_mapping.install(new_db)
         crud = CrudTemplates(target_schema, new_mapping, new_db)
-        for instance in entities:
-            # attributes dropped from the schema must not be re-inserted
-            values = {
-                k: v
-                for k, v in instance.values.items()
-                if _attribute_exists(target_schema, instance.entity_set, k)
-            }
-            crud.insert_entity(EntityInstance(instance.entity_set, values))
-            report.entities_migrated += 1
-        for instance in relationships:
-            if not target_schema.has_relationship(instance.relationship_set):
-                continue
-            crud.insert_relationship(instance)
-            report.relationships_migrated += 1
+        crud.insert_entities([_fit_to_schema(target_schema, e) for e in entities])
+        report.entities_migrated = len(entities)
+        relationships = [
+            r for r in relationships if target_schema.has_relationship(r.relationship_set)
+        ]
+        crud.insert_relationships(relationships)
+        report.relationships_migrated = len(relationships)
 
         # Carry state that does not live in the rows, the way checkpoints
         # do.  Catalog metadata blobs move verbatim (minus the old mapping's
@@ -271,11 +290,3 @@ class Migrator:
                 "audit": self.audit.export_state() if self.audit is not None else None,
             }
         return target_schema, new_mapping, new_db, report
-
-
-def _attribute_exists(schema: ERSchema, entity: str, attribute: str) -> bool:
-    if not schema.has_entity(entity):
-        return False
-    names = {a.name for a in schema.effective_attributes(entity)}
-    names.update(schema.effective_key(entity))
-    return attribute in names

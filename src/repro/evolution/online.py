@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..core import EntityInstance, ERSchema
 from ..errors import MigrationError, SerializationError
@@ -55,7 +55,13 @@ from .changes import (
     RenameAttribute,
     SchemaChange,
 )
-from .migration import MigrationReport, _attribute_exists, _transform_for_change
+from .migration import (
+    MigrationReport,
+    _fit_to_schema,
+    _instance_walk,
+    _targets,
+    _transform_for_change,
+)
 from .reconcile import ReconcileReport, reconcile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -181,15 +187,6 @@ class OnlineMigrationReport:
         if self.reconcile is not None:
             out["reconcile"] = self.reconcile.describe()
         return out
-
-
-def _targets(schema: ERSchema, entity_name: str, change_entity: str) -> bool:
-    if entity_name == change_entity:
-        return True
-    try:
-        return change_entity in {a.name for a in schema.ancestors_of(entity_name)}
-    except Exception:
-        return False
 
 
 def _transform_update_changes(
@@ -349,47 +346,10 @@ class OnlineMigrator:
                 {"t": "backfill_batch", "phase": kind, "count": count, "of": detail}
             )
 
-    def _backfill_plan(self) -> Tuple[List[Tuple[str, Tuple[Any, ...]]], List[Any]]:
-        """Entity keys (hierarchy-deduplicated) and relationship instances to copy."""
-
-        from ..core import RelationshipInstance
-
-        schema, crud = self.old_schema, self.old_crud
-        entity_items: List[Tuple[str, Tuple[Any, ...]]] = []
-        hierarchy_roots = {root.name for root in schema.hierarchy_roots()}
-        for entity in schema.entities():
-            if entity.name in hierarchy_roots or entity.parent is not None:
-                continue
-            for key in crud.entity_keys(entity.name):
-                entity_items.append((entity.name, key))
-        for root_name in hierarchy_roots:
-            members = schema.hierarchy_members(root_name)
-            keys_seen: Dict[Tuple[Any, ...], str] = {}
-            for member in reversed(members):
-                for key in crud.entity_keys(member.name):
-                    if key not in keys_seen:
-                        keys_seen[key] = member.name
-            for key, member_name in keys_seen.items():
-                entity_items.append((member_name, key))
-
-        relationship_items: List[Any] = []
-        for relationship in schema.relationships():
-            if relationship.identifying:
-                continue
-            left, right = relationship.participants[0], relationship.participants[1]
-            for left_key, right_key in crud.relationship_pairs(relationship.name):
-                relationship_items.append(
-                    RelationshipInstance(
-                        relationship.name,
-                        {left.label: left_key, right.label: right_key},
-                    )
-                )
-        return entity_items, relationship_items
-
     def _backfill(self) -> None:
         self._phase_gauge.set(PHASES["backfill"])
         with read_view_scope(self.view):
-            entity_items, relationship_items = self._backfill_plan()
+            entity_items, relationship_items = _instance_walk(self.old_schema, self.old_crud)
         total = max(len(entity_items) + len(relationship_items), 1)
         done = 0
 
@@ -405,17 +365,7 @@ class OnlineMigrator:
             )
             if self.transform is not None:
                 instances = [self.transform(i) for i in instances]
-            loadable = [
-                EntityInstance(
-                    i.entity_set,
-                    {
-                        k: v
-                        for k, v in i.values.items()
-                        if _attribute_exists(self.target_schema, i.entity_set, k)
-                    },
-                )
-                for i in instances
-            ]
+            loadable = [_fit_to_schema(self.target_schema, i) for i in instances]
             self.shadow_crud.insert_entities(loadable)
             self.report.entities_backfilled += len(loadable)
             self._instance_counter.inc(len(loadable))
@@ -455,12 +405,7 @@ class OnlineMigrator:
             instance = instances[0]
             if self.transform is not None:
                 instance = self.transform(instance)
-            values = {
-                k: v
-                for k, v in instance.values.items()
-                if _attribute_exists(schema, instance.entity_set, k)
-            }
-            crud.insert_entity(EntityInstance(instance.entity_set, values))
+            crud.insert_entity(_fit_to_schema(schema, instance))
         elif op == "update_entity":
             entity, key, changes = args
             changes = _transform_update_changes(

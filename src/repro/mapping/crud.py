@@ -23,6 +23,7 @@ All multi-row operations run inside a transaction on the underlying database.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import (
@@ -81,6 +82,15 @@ class CrudTemplates:
                 f"entity {entity!r} expects {len(names)} key value(s) {names}, got {len(key)}"
             )
         return dict(zip(names, key))
+
+    def _row_ids(self, table_name: str, columns: Sequence[str], key: Sequence[Any]) -> List[int]:
+        """Ids of the rows of ``table_name`` whose ``columns`` equal ``key``.
+
+        The one way the templates address physical rows: an index lookup when
+        the table has an index on exactly ``columns``, a scan otherwise.
+        """
+
+        return self.db.catalog.table(table_name).lookup_ids(tuple(columns), tuple(key))
 
     def _hierarchy_chain(self, entity: str) -> List[str]:
         """Root-first chain of hierarchy members from the root down to ``entity``."""
@@ -173,10 +183,8 @@ class CrudTemplates:
             # attributes of a co-stored subclass still go to the ancestor
             # tables, which _insert_delta_or_plain walks for us.
             self._insert_delta_or_plain(entity, values, emit)
-        elif placement.kind == "single_table":
-            self._insert_single_table(entity, placement, values, emit)
-        elif placement.kind == "disjoint_table":
-            self._insert_disjoint(entity, placement, values, emit)
+        elif placement.kind in ("single_table", "disjoint_table"):
+            self._insert_whole_row(entity, placement, values, emit)
         else:
             self._insert_delta_or_plain(entity, values, emit)
 
@@ -190,8 +198,7 @@ class CrudTemplates:
         owner_placement = self.mapping.entity_placement(weak.owner)
         if owner_placement.table is None:
             return
-        table = self.db.catalog.table(owner_placement.table)
-        if not table.lookup_ids(tuple(owner_placement.key_columns), owner_key):
+        if not self._row_ids(owner_placement.table, owner_placement.key_columns, owner_key):
             raise CrudTemplateError(
                 f"cannot insert weak entity {weak.name!r}: owner {weak.owner!r} "
                 f"with key {owner_key} does not exist"
@@ -218,43 +225,34 @@ class CrudTemplates:
     ) -> None:
         chain = self._hierarchy_chain(entity)
         key_names = self.schema.effective_key(entity)
-        key_row = {k: values[k] for k in key_names}
         for member in chain:
             member_placement = self.mapping.entity_placement(member)
             if member_placement.kind == "co_stored":
-                self._insert_co_stored_entity(
-                    member, member_placement, values, only_own=True, emit=emit
-                )
+                self._insert_co_stored_entity(member, member_placement, values, emit)
                 continue
             if member_placement.table is None:
                 continue
             row = dict(zip(member_placement.key_columns, [values[k] for k in key_names]))
             member_entity = self.schema.entity(member)
             for attribute in member_entity.attributes:
-                if attribute.is_derived() or attribute.is_multivalued():
+                if attribute.is_derived() or attribute.name in key_names:
                     continue
-                if attribute.name in key_names:
-                    continue
+                # scalars, and array-valued attributes stored inline on this table
                 attr_placement = self.access._attribute_placement(entity, attribute.name)
                 if attr_placement.kind in ("inline", "inline_array") and attr_placement.table == member_placement.table:
                     row[attr_placement.column] = values.get(attribute.name)
-            # array-valued attributes stored inline on this member's table
-            for attribute in member_entity.attributes:
-                if not attribute.is_multivalued():
-                    continue
-                attr_placement = self.access._attribute_placement(entity, attribute.name)
-                if attr_placement.kind == "inline_array" and attr_placement.table == member_placement.table:
-                    row[attr_placement.column] = values.get(attribute.name)
             emit(member_placement.table, row)
-        del key_row
 
-    def _insert_single_table(
+    def _insert_whole_row(
         self,
         entity: str,
         placement,
         values: Dict[str, Any],
         emit: Callable[[str, Dict[str, Any]], Any],
     ) -> None:
+        """Single-table and disjoint hierarchies: every effective attribute of
+        the instance lives in one row of the member's table."""
+
         row: Dict[str, Any] = {}
         key_names = self.schema.effective_key(entity)
         for key_name, column in zip(key_names, placement.key_columns):
@@ -264,25 +262,8 @@ class CrudTemplates:
             if attr_placement.kind in ("inline", "inline_array") and attr_placement.table == placement.table:
                 if name not in key_names:
                     row[attr_placement.column] = values.get(name)
-        row[placement.discriminator_column] = placement.type_value
-        emit(placement.table, row)
-
-    def _insert_disjoint(
-        self,
-        entity: str,
-        placement,
-        values: Dict[str, Any],
-        emit: Callable[[str, Dict[str, Any]], Any],
-    ) -> None:
-        row: Dict[str, Any] = {}
-        key_names = self.schema.effective_key(entity)
-        for key_name, column in zip(key_names, placement.key_columns):
-            row[column] = values[key_name]
-        for name in self._storable_names(entity):
-            attr_placement = self.access._attribute_placement(entity, name)
-            if attr_placement.kind in ("inline", "inline_array") and attr_placement.table == placement.table:
-                if name not in key_names:
-                    row[attr_placement.column] = values.get(name)
+        if placement.kind == "single_table":
+            row[placement.discriminator_column] = placement.type_value
         emit(placement.table, row)
 
     def _insert_nested(self, entity: str, placement, values: Dict[str, Any]) -> None:
@@ -290,7 +271,7 @@ class CrudTemplates:
         owner_key_names = self.schema.effective_key(placement.owner_entity)
         owner_key = [values[k] for k in owner_key_names]
         table = self.db.catalog.table(owner_placement.table)
-        row_ids = table.lookup_ids(tuple(owner_placement.key_columns), tuple(owner_key))
+        row_ids = self._row_ids(owner_placement.table, owner_placement.key_columns, owner_key)
         if not row_ids:
             raise CrudTemplateError(
                 f"cannot insert weak entity {entity!r}: owner {placement.owner_entity!r} "
@@ -313,13 +294,11 @@ class CrudTemplates:
         entity: str,
         placement,
         values: Dict[str, Any],
-        only_own: bool = False,
-        emit: Optional[Callable[[str, Dict[str, Any]], Any]] = None,
+        emit: Callable[[str, Dict[str, Any]], Any],
     ) -> None:
         """Insert a participant of a co-stored relationship: a row with the
         other side left NULL (merged later by ``insert_relationship``)."""
 
-        emit = emit if emit is not None else self.db.insert
         row: Dict[str, Any] = {}
         key_names = self.schema.effective_key(entity)
         for key_name, column in zip(key_names, placement.key_columns):
@@ -332,8 +311,6 @@ class CrudTemplates:
             if attr_placement.kind == "inline" and attr_placement.table == placement.table:
                 row[attr_placement.column] = values.get(attribute.name)
         emit(placement.table, row)
-        if only_own:
-            return
 
     def _insert_multivalued(
         self,
@@ -348,19 +325,31 @@ class CrudTemplates:
             placement = self.access._attribute_placement(entity, attribute.name)
             if placement.kind != "side_table":
                 continue
-            elements = values.get(attribute.name) or []
-            for element in elements:
-                row = dict(zip(placement.owner_key_columns, [values[k] for k in key_names]))
-                if len(placement.value_columns) == 1:
-                    row[placement.value_columns[0]] = element
-                else:
-                    if not isinstance(element, dict):
-                        raise CrudTemplateError(
-                            f"elements of {entity}.{attribute.name} must be dicts"
-                        )
-                    for column in placement.value_columns:
-                        row[column] = element.get(column)
-                emit(placement.table, row)
+            self._emit_side_table_rows(
+                placement, [values[k] for k in key_names], values.get(attribute.name), emit
+            )
+
+    def _emit_side_table_rows(
+        self,
+        placement,
+        key_values: Sequence[Any],
+        elements: Optional[Sequence[Any]],
+        emit: Callable[[str, Dict[str, Any]], Any],
+    ) -> None:
+        """One side-table row per element of a multi-valued attribute."""
+
+        for element in elements or []:
+            row = dict(zip(placement.owner_key_columns, key_values))
+            if len(placement.value_columns) == 1:
+                row[placement.value_columns[0]] = element
+            else:
+                if not isinstance(element, dict):
+                    raise CrudTemplateError(
+                        f"elements of {placement.owner}.{placement.attribute} must be dicts"
+                    )
+                for column in placement.value_columns:
+                    row[column] = element.get(column)
+            emit(placement.table, row)
 
     # -------------------------------------------------------------- entity read
 
@@ -420,7 +409,9 @@ class CrudTemplates:
                     break
 
         # Weak dependants: read nested arrays straight off the owner row, or
-        # make one pass over each weak entity's table grouped by owner key.
+        # make one pass over each weak entity set grouped by owner key.  Either
+        # way a child holds the weak entity's own attributes; the owner key is
+        # carried by the enclosing document.
         dependants: Dict[str, Dict[Tuple[Any, ...], List[Dict[str, Any]]]] = {}
         for weak in weak_sets:
             weak_placement = self.mapping.entity_placement(weak.name)
@@ -429,13 +420,16 @@ class CrudTemplates:
                 for key, row in owner_rows.items():
                     grouped[key] = list(row.get(weak_placement.array_column) or [])
             else:
-                weak_table = self.db.read_table(weak_placement.table)
                 wanted = set(normalized_keys)
-                owner_columns = weak_placement.key_columns[: len(key_names)]
-                for row in weak_table.rows():
-                    owner_key = tuple(row.get(c) for c in owner_columns)
+                own_names = [a.name for a in weak.attributes if not a.is_derived()]
+                result = self.db.execute(self.access.entity_scan(weak.name, weak.name))
+                owner_keys = zip(*(result.column(qualified(weak.name, k)) for k in key_names))
+                for index, owner_key in enumerate(owner_keys):
                     if owner_key in wanted:
-                        grouped.setdefault(owner_key, []).append(dict(row))
+                        row = result.row(index)
+                        grouped.setdefault(owner_key, []).append(
+                            {name: row.get(qualified(weak.name, name)) for name in own_names}
+                        )
             dependants[weak.name] = grouped
 
         for key in normalized_keys:
@@ -450,7 +444,10 @@ class CrudTemplates:
             for name, value in zip(key_names, key):
                 document.setdefault(name, value)
             for weak in weak_sets:
-                document[weak.name] = dependants[weak.name].get(key, [])
+                children = dependants[weak.name].get(key, [])
+                if weak.discriminator:  # key order: storage order differs between layouts
+                    children = sorted(children, key=itemgetter(*weak.discriminator))
+                document[weak.name] = children
             documents.append(document)
         return documents
 
@@ -498,29 +495,20 @@ class CrudTemplates:
 
         if placement.kind in ("inline", "inline_array"):
             entity_placement = self.mapping.entity_placement(entity)
-            tables = [placement.table]
-            if entity_placement.kind == "disjoint_table" and placement.table != entity_placement.table:
-                tables = [entity_placement.table]
-            for table_name in tables:
-                table = self.db.catalog.table(table_name)
-                key_columns = self._key_columns_on_table(entity, table_name)
-                row_ids = table.lookup_ids(tuple(key_columns), key_values)
-                for row_id in row_ids:
-                    self.db.update_row(table_name, row_id, {placement.column: value})
+            table_name = placement.table
+            if entity_placement.kind == "disjoint_table":
+                table_name = entity_placement.table
+            key_columns = self._key_columns_on_table(entity, table_name)
+            for row_id in self._row_ids(table_name, key_columns, key_values):
+                self.db.update_row(table_name, row_id, {placement.column: value})
             return
 
         if placement.kind == "side_table":
-            predicate = self._side_table_predicate(placement, key_values)
-            self.db.delete(placement.table, predicate)
-            elements = value or []
-            for element in elements:
-                row = dict(zip(placement.owner_key_columns, key_values))
-                if len(placement.value_columns) == 1:
-                    row[placement.value_columns[0]] = element
-                else:
-                    for column in placement.value_columns:
-                        row[column] = element.get(column)
-                self.db.insert(placement.table, row)
+            self.db.delete_ids(
+                placement.table,
+                self._row_ids(placement.table, placement.owner_key_columns, key_values),
+            )
+            self._emit_side_table_rows(placement, key_values, value, self.db.insert)
             return
 
         if placement.kind == "nested_field":
@@ -540,14 +528,6 @@ class CrudTemplates:
         # ancestor tables in a delta layout use the root's key column names
         return list(self.schema.effective_key(entity))
 
-    def _side_table_predicate(self, placement, key_values: Tuple[Any, ...]):
-        columns = list(placement.owner_key_columns)
-
-        def predicate(row: Dict[str, Any]) -> bool:
-            return tuple(row.get(c) for c in columns) == key_values
-
-        return predicate
-
     def _update_nested_field(
         self, entity: str, key_equals: Dict[str, Any], placement, name: str, value: Any
     ) -> None:
@@ -560,7 +540,7 @@ class CrudTemplates:
         discriminator = list(weak.discriminator)
         owner_placement = self.mapping.entity_placement(owner)
         table = self.db.catalog.table(owner_placement.table)
-        row_ids = table.lookup_ids(tuple(owner_placement.key_columns), owner_key)
+        row_ids = self._row_ids(owner_placement.table, owner_placement.key_columns, owner_key)
         if not row_ids:
             raise CrudTemplateError(f"owner instance {owner_key} not found for {entity!r}")
         row_id = row_ids[0]
@@ -606,8 +586,9 @@ class CrudTemplates:
             placement = self.access._attribute_placement(entity, attribute.name)
             if placement.kind != "side_table":
                 continue
-            removed += self.db.delete(
-                placement.table, self._side_table_predicate(placement, key_values)
+            removed += self.db.delete_ids(
+                placement.table,
+                self._row_ids(placement.table, placement.owner_key_columns, key_values),
             )
         return removed
 
@@ -626,7 +607,9 @@ class CrudTemplates:
             assert isinstance(weak, WeakEntitySet)
             owner_placement = self.mapping.entity_placement(owner)
             table = self.db.catalog.table(owner_placement.table)
-            for row_id in table.lookup_ids(tuple(owner_placement.key_columns), owner_key):
+            for row_id in self._row_ids(
+                owner_placement.table, owner_placement.key_columns, owner_key
+            ):
                 elements = list(table.get_row(row_id).get(placement.array_column) or [])
                 target = tuple(key_equals[d] for d in weak.discriminator)
                 kept = [
@@ -642,13 +625,10 @@ class CrudTemplates:
             return removed
 
         if placement.kind == "co_stored":
-            columns = list(placement.key_columns)
-
-            def match(row: Dict[str, Any]) -> bool:
-                return tuple(row.get(c) for c in columns) == key_values
-
-            removed += self.db.delete(placement.table, match)
-            return removed
+            return self.db.delete_ids(
+                placement.table,
+                self._row_ids(placement.table, placement.key_columns, key_values),
+            )
 
         # Plain, delta, single-table and disjoint layouts: delete from the
         # member's own table plus any ancestor tables carrying the instance.
@@ -669,11 +649,9 @@ class CrudTemplates:
             key_columns = self._key_columns_on_table(entity, table_name)
             if not all(table.schema.has_column(c) for c in key_columns):
                 continue
-
-            def match(row: Dict[str, Any], cols=tuple(key_columns)) -> bool:
-                return tuple(row.get(c) for c in cols) == key_values
-
-            removed += self.db.delete(table_name, match)
+            removed += self.db.delete_ids(
+                table_name, self._row_ids(table_name, key_columns, key_values)
+            )
         return removed
 
     def _delete_relationship_traces(self, entity: str, key_values: Tuple[Any, ...]) -> int:
@@ -692,13 +670,11 @@ class CrudTemplates:
                     break
             if role is None or placement.kind in ("identifying", "nested"):
                 continue
-            if placement.kind == "join_table":
-                columns = placement.role_columns[role]
-
-                def match(row: Dict[str, Any], cols=tuple(columns)) -> bool:
-                    return tuple(row.get(c) for c in cols) == key_values
-
-                removed += self.db.delete(placement.table, match)
+            if placement.kind in ("join_table", "co_stored"):
+                removed += self.db.delete_ids(
+                    placement.table,
+                    self._row_ids(placement.table, placement.role_columns[role], key_values),
+                )
             elif placement.kind == "foreign_key":
                 if placement.fk_side == role:
                     continue  # the instance's own row is deleted separately
@@ -708,21 +684,12 @@ class CrudTemplates:
                     table = self.db.catalog.table(table_name)
                     if not all(table.schema.has_column(c) for c in fk_columns):
                         continue
-
-                    def match(row: Dict[str, Any], cols=tuple(fk_columns)) -> bool:
-                        return tuple(row.get(c) for c in cols) == key_values
-
                     changes = {c: None for c in fk_columns}
                     changes.update({c: None for c in placement.attribute_columns.values()
                                     if table.schema.has_column(c)})
-                    removed += self.db.update(table_name, match, changes)
-            elif placement.kind == "co_stored":
-                columns = placement.role_columns[role]
-
-                def match(row: Dict[str, Any], cols=tuple(columns)) -> bool:
-                    return tuple(row.get(c) for c in cols) == key_values
-
-                removed += self.db.delete(placement.table, match)
+                    for row_id in self._row_ids(table_name, fk_columns, key_values):
+                        self.db.update_row(table_name, row_id, changes)
+                        removed += 1
         return removed
 
     def _fk_tables(self, entity: str) -> List[str]:
@@ -829,12 +796,11 @@ class CrudTemplates:
             if not all(table.schema.has_column(c) for c in fk_columns):
                 continue
             key_columns = self._key_columns_on_table(many_participant.entity, table_name)
-            row_ids = table.lookup_ids(tuple(key_columns), tuple(many_key))
             changes = dict(zip(fk_columns, one_key))
             for attr, column in placement.attribute_columns.items():
                 if table.schema.has_column(column):
                     changes[column] = instance.values.get(attr)
-            for row_id in row_ids:
+            for row_id in self._row_ids(table_name, key_columns, many_key):
                 self.db.update_row(table_name, row_id, changes)
                 updated += 1
         if updated == 0:
@@ -851,8 +817,8 @@ class CrudTemplates:
         right_columns = placement.role_columns[right.label]
         table = self.db.catalog.table(placement.table)
 
-        left_rows = table.lookup_ids(tuple(left_columns), tuple(left_key))
-        right_rows = table.lookup_ids(tuple(right_columns), tuple(right_key))
+        left_rows = self._row_ids(placement.table, left_columns, left_key)
+        right_rows = self._row_ids(placement.table, right_columns, right_key)
         if not left_rows:
             raise CrudTemplateError(
                 f"cannot link {relationship.name!r}: left instance {tuple(left_key)} not found"
@@ -895,7 +861,7 @@ class CrudTemplates:
             self.db.insert(placement.table, new_row)
 
         # Drop the right instance's placeholder rows once a linked row exists.
-        right_ids = table.lookup_ids(tuple(right_columns), tuple(right_key))
+        right_ids = self._row_ids(placement.table, right_columns, right_key)
         placeholders = [
             rid
             for rid in right_ids
@@ -920,15 +886,14 @@ class CrudTemplates:
             # logged up front: if a branch below raises, the joined scope's
             # savepoint rollback discards the entry with the physical writes
             self._log_change("delete_relationship", (relationship, dict(normalized)))
-            if placement.kind == "join_table":
-                def match(row: Dict[str, Any]) -> bool:
-                    for role, key in normalized.items():
-                        columns = placement.role_columns[role]
-                        if tuple(row.get(c) for c in columns) != key:
-                            return False
-                    return True
-
-                return self.db.delete(placement.table, match)
+            if placement.kind in ("join_table", "co_stored"):
+                # participant order, so a full set of endpoints is the table's key
+                roles = sorted(normalized, key=rel.labels().index)
+                columns = [c for role in roles for c in placement.role_columns[role]]
+                key = [v for role in roles for v in normalized[role]]
+                return self.db.delete_ids(
+                    placement.table, self._row_ids(placement.table, columns, key)
+                )
             if placement.kind == "foreign_key":
                 many_role = placement.fk_side
                 many_participant = rel.participant(many_role)
@@ -944,22 +909,11 @@ class CrudTemplates:
                     if not all(table.schema.has_column(c) for c in fk_columns):
                         continue
                     key_columns = self._key_columns_on_table(many_participant.entity, table_name)
-
-                    def match(row: Dict[str, Any], cols=tuple(key_columns)) -> bool:
-                        return tuple(row.get(c) for c in cols) == many_key
-
                     changes = {c: None for c in fk_columns}
-                    total += self.db.update(table_name, match, changes)
+                    for row_id in self._row_ids(table_name, key_columns, many_key):
+                        self.db.update_row(table_name, row_id, changes)
+                        total += 1
                 return total
-            if placement.kind == "co_stored":
-                def match(row: Dict[str, Any]) -> bool:
-                    for role, key in normalized.items():
-                        columns = placement.role_columns[role]
-                        if tuple(row.get(c) for c in columns) != key:
-                            return False
-                    return True
-
-                return self.db.delete(placement.table, match)
             raise CrudTemplateError(
                 f"cannot delete occurrences of relationship {relationship!r} "
                 f"placed as {placement.kind!r}"
@@ -976,64 +930,53 @@ class CrudTemplates:
         enumerate a relationship in O(n) rather than O(n**2).
         """
 
-        rel = self.schema.relationship(relationship)
-        left, right = rel.participants[0], rel.participants[1]
-        from_role = self.access._role_for(rel, left.entity)
-        to_participant = rel.other(from_role)
-        plan = self.access.relationship_join(
-            relationship,
-            left.entity,
-            "src",
-            to_participant.entity,
-            "dst",
-            left_attributes=[],
-            right_attributes=[],
-        )
-        result = self.db.execute(plan)
-        src_keys = self.schema.effective_key(left.entity)
-        dst_keys = self.schema.effective_key(to_participant.entity)
-        pairs: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = []
-        seen = set()
-        for row in result.rows:
-            pair = (
-                tuple(row.get(qualified("src", k)) for k in src_keys),
-                tuple(row.get(qualified("dst", k)) for k in dst_keys),
-            )
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-        return pairs
+        left = self.schema.relationship(relationship).participants[0]
+        return self._joined_pairs(relationship, left.entity, None)
 
     def related_keys(
         self, relationship: str, from_entity: str, key: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         """Keys of the instances related to ``key`` through ``relationship``."""
 
-        rel = self.schema.relationship(relationship)
-        from_role = self.access._role_for(rel, from_entity)
-        to_participant = rel.other(from_role)
         key_equals = self._key_dict(from_entity, key)
+        source = tuple(key_equals.values())
+        # Access paths that cannot push the key down (nested owners, co-stored
+        # wide tables, unindexed keys) return the whole population.
+        return [
+            dst
+            for src, dst in self._joined_pairs(relationship, from_entity, key_equals)
+            if src == source
+        ]
+
+    def _joined_pairs(
+        self, relationship: str, from_entity: str, key_equals: Optional[Dict[str, Any]]
+    ) -> List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]]:
+        """Distinct (source key, target key) pairs of one relationship join.
+
+        ``key_equals`` hands a source key to the source-side scan, so the
+        join starts from (at most) that one instance.
+        """
+
+        rel = self.schema.relationship(relationship)
+        to_entity = rel.other(self.access._role_for(rel, from_entity)).entity
         plan = self.access.relationship_join(
             relationship,
             from_entity,
             "src",
-            to_participant.entity,
+            to_entity,
             "dst",
-            left_attributes=[],
+            left_plan=self.access.entity_scan(
+                from_entity, "src", attributes=[], key_equals=key_equals
+            ),
             right_attributes=[],
         )
-        result = self.db.execute(plan)
         src_keys = self.schema.effective_key(from_entity)
-        dst_keys = self.schema.effective_key(to_participant.entity)
-        out = []
-        seen = set()
-        for row in result.rows:
-            if tuple(row.get(qualified("src", k)) for k in src_keys) != tuple(
-                key_equals[k] for k in src_keys
-            ):
-                continue
-            dst = tuple(row.get(qualified("dst", k)) for k in dst_keys)
-            if dst not in seen:
-                seen.add(dst)
-                out.append(dst)
-        return out
+        dst_keys = self.schema.effective_key(to_entity)
+        pairs = [
+            (
+                tuple(row.get(qualified("src", k)) for k in src_keys),
+                tuple(row.get(qualified("dst", k)) for k in dst_keys),
+            )
+            for row in self.db.execute(plan).rows
+        ]
+        return list(dict.fromkeys(pairs))

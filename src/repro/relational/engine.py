@@ -481,9 +481,48 @@ class Database:
     def delete(
         self, table_name: str, predicate: Callable[[Dict[str, Any]], bool]
     ) -> int:
-        """Delete rows matching a Python predicate, honouring FK actions.
+        """Delete rows matching a Python predicate (see :meth:`delete_ids`)."""
 
-        The whole statement — matched rows plus everything referential
+        with self.write_lock:  # the scan and the statement see the same rows
+            return self._statement(table_name, self._matching_ids(table_name, predicate), None)
+
+    def delete_ids(self, table_name: str, row_ids: Sequence[int]) -> int:
+        """Delete specific rows by id, honouring FK actions.
+
+        The caller has already located the victims (e.g. via an index
+        lookup), so no table scan happens here; ids that are no longer live
+        are skipped.
+        """
+
+        return self._statement(table_name, row_ids, None)
+
+    def update(
+        self,
+        table_name: str,
+        predicate: Callable[[Dict[str, Any]], bool],
+        changes: Dict[str, Any],
+    ) -> int:
+        """Update rows matching a predicate with a static change dict."""
+
+        with self.write_lock:  # the scan and the statement see the same rows
+            return self._statement(table_name, self._matching_ids(table_name, predicate), changes)
+
+    def update_row(self, table_name: str, row_id: int, changes: Dict[str, Any]) -> None:
+        self._statement(table_name, (row_id,), changes)
+
+    def _matching_ids(
+        self, table_name: str, predicate: Callable[[Dict[str, Any]], bool]
+    ) -> List[int]:
+        table = self.catalog.table(table_name)
+        return [row_id for row_id, row in table.rows_with_ids() if predicate(row)]
+
+    def _statement(
+        self, table_name: str, row_ids: Sequence[int], changes: Optional[Dict[str, Any]]
+    ) -> int:
+        """One journaled DML statement over already-located rows.
+
+        ``changes`` of ``None`` deletes the rows, a dict updates them.  The
+        whole statement — the addressed rows plus everything referential
         actions cascade into — is covered by **one** undo record (its
         inverse re-applies every physical change in reverse), and by batched
         WAL records: one framed ``delete_batch`` / ``update_batch`` per run
@@ -491,72 +530,39 @@ class Database:
         ``insert_many``.
         """
 
+        verb = "delete" if changes is None else "update"
         with self._write_statement():
             table = self.catalog.table(table_name)
-            to_delete = [
-                (row_id, dict(row))
-                for row_id, row in table.rows_with_ids()
-                if predicate(row)
-            ]
+            if changes is None:
+                row_ids = [row_id for row_id in row_ids if table.is_live(row_id)]
             journal: List[Tuple[Any, ...]] = []
             try:
-                for row_id, row in to_delete:
-                    self._apply_delete(table, row_id, row, journal)
+                for row_id in row_ids:
+                    if changes is None:
+                        self._apply_delete(table, row_id, journal)
+                    else:
+                        self._update_row(table_name, row_id, changes, journal)
             except BaseException:
                 # a mid-statement failure (e.g. a restrict FK on the third row)
                 # must still record the changes already applied, so an enclosing
                 # transaction/savepoint can undo them and the WAL stays in step
                 # with memory if the caller swallows the error and commits
-                self._record_statement(
-                    f"partial delete from {table_name}", journal
-                )
+                self._record_statement(f"partial {verb} of {table_name}", journal)
                 raise
             self._record_statement(
-                f"delete {len(to_delete)} rows from {table_name}", journal
+                f"{verb} {len(row_ids)} rows of {table_name}", journal
             )
-            return len(to_delete)
-
-    def delete_ids(self, table_name: str, row_ids: Sequence[int]) -> int:
-        """Delete specific rows by id: the index-assisted path of :meth:`delete`.
-
-        Same undo-record, WAL-batching and referential-action semantics — the
-        caller has already located the victims (e.g. via an index lookup), so
-        no table scan happens here.
-        """
-
-        with self._write_statement():
-            table = self.catalog.table(table_name)
-            to_delete = [
-                (row_id, dict(table.get_row(row_id)))
-                for row_id in row_ids
-                if table.is_live(row_id)
-            ]
-            journal: List[Tuple[Any, ...]] = []
-            try:
-                for row_id, row in to_delete:
-                    self._apply_delete(table, row_id, row, journal)
-            except BaseException:
-                self._record_statement(
-                    f"partial delete from {table_name}", journal
-                )
-                raise
-            self._record_statement(
-                f"delete {len(to_delete)} rows from {table_name}", journal
-            )
-            return len(to_delete)
+            return len(row_ids)
 
     def _apply_delete(
-        self,
-        table: Table,
-        row_id: int,
-        row: Dict[str, Any],
-        journal: List[Tuple[Any, ...]],
+        self, table: Table, row_id: int, journal: List[Tuple[Any, ...]]
     ) -> None:
         if not table.is_live(row_id):
             # already removed by a cascade earlier in this same statement
             # (e.g. a self-referential FK whose parent matched the predicate)
             return
         self._check_write_conflict(table, row_id)
+        row = dict(table.get_row(row_id))
         self._enforce_referential_delete(table.name, row, journal)
         for constraint in self.catalog.constraints_for(table.name):
             constraint.check_delete(self.catalog, table, row)
@@ -589,46 +595,11 @@ class Database:
                 other = self.catalog.table(other_name)
                 if constraint.on_delete == "cascade":
                     for ref_id in list(referencing):
-                        ref_row = dict(other.get_row(ref_id))
-                        self._apply_delete(other, ref_id, ref_row, journal)
+                        self._apply_delete(other, ref_id, journal)
                 elif constraint.on_delete == "set_null":
                     for ref_id in list(referencing):
                         changes = {c: None for c in constraint.columns}
                         self._update_row(other_name, ref_id, changes, journal)
-
-    def update(
-        self,
-        table_name: str,
-        predicate: Callable[[Dict[str, Any]], bool],
-        changes: Dict[str, Any],
-    ) -> int:
-        """Update rows matching a predicate with a static change dict.
-
-        Like :meth:`delete`, the statement records one undo entry and one
-        framed ``update_batch`` WAL record for all matched rows.
-        """
-
-        with self._write_statement():
-            table = self.catalog.table(table_name)
-            matching = [row_id for row_id, row in table.rows_with_ids() if predicate(row)]
-            journal: List[Tuple[Any, ...]] = []
-            try:
-                for row_id in matching:
-                    self._update_row(table_name, row_id, changes, journal)
-            except BaseException:
-                # record the rows already updated before re-raising (see delete)
-                self._record_statement(f"partial update of {table_name}", journal)
-                raise
-            self._record_statement(
-                f"update {len(matching)} rows in {table_name}", journal
-            )
-            return len(matching)
-
-    def update_row(self, table_name: str, row_id: int, changes: Dict[str, Any]) -> None:
-        with self._write_statement():
-            journal: List[Tuple[Any, ...]] = []
-            self._update_row(table_name, row_id, changes, journal)
-            self._record_statement(f"update {table_name}", journal)
 
     def _update_row(
         self,

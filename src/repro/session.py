@@ -334,6 +334,10 @@ class Session:
         self.autocommit = autocommit
         self.isolation = isolation
         self._owns_transaction = False
+        # The database the open transaction began on: an online migration's
+        # flip replaces ``system.db``, and the transaction lives (and must be
+        # committed or rolled back) where it started.
+        self._db = system.db
         self._view: Optional[ReadView] = None
         self._writing = False
         # Statement-level view cache, one slot per thread (the API service
@@ -357,19 +361,20 @@ class Session:
             return False
         if self._view is not None:
             return True  # read-only snapshot transaction (no engine txn yet)
-        return self.system.db.transactions.in_transaction()
+        return self._db.transactions.in_transaction()
 
     def begin(self) -> "Session":
         if self.autocommit:
             raise TransactionError("autocommit sessions cannot open explicit transactions")
         if self._owns_transaction:
             raise TransactionError("this session already has an open transaction")
+        self._db = self.system.db
         if self.isolation == "snapshot":
             # Pin the read view only: snapshot transactions stay pure readers
             # (no writer lock, no engine transaction) until their first write.
-            self._view = self.system.db.begin_read_view()
+            self._view = self._db.begin_read_view()
         else:
-            self.system.db.transactions.begin()
+            self._db.transactions.begin()
         self._owns_transaction = True
         self._writing = False
         return self
@@ -386,16 +391,33 @@ class Session:
         engine's per-statement locks.
         """
 
+        self._check_not_flipped()
         if not (self._owns_transaction and self.isolation == "snapshot"):
             return
         if self._writing:
             return
         view = self._view
         assert view is not None
-        self.system.db.transactions.begin(snapshot_watermarks=view.watermarks())
+        self._db.transactions.begin(snapshot_watermarks=view.watermarks())
         self._writing = True
         self._view = None
         view.close()
+
+    def _check_not_flipped(self) -> None:
+        """Abort an open transaction that an online migration's flip overtook.
+
+        Its reads and writes belong to the old layout, which no longer
+        serves: roll it back there and raise the retryable
+        :class:`~repro.errors.SerializationError`, so :meth:`run` re-executes
+        the closure against the new layout.
+        """
+
+        if self._owns_transaction and self.system.db is not self._db:
+            self.rollback()
+            raise SerializationError(
+                "an online schema migration flipped during this transaction; "
+                "retry it against the new layout"
+            )
 
     def commit(self, sync: bool = False) -> None:
         """Commit the session's transaction.
@@ -410,6 +432,7 @@ class Session:
 
         if not self._owns_transaction:
             raise TransactionError("this session has no open transaction to commit")
+        self._check_not_flipped()
         if self._view is not None:
             # read-only snapshot transaction: nothing to write, release the view
             view, self._view = self._view, None
@@ -419,10 +442,10 @@ class Session:
         # commit may fail at the WAL append (disk error) and leave the
         # transaction active so it can still be rolled back — release this
         # session's ownership only once the commit actually happened
-        self.system.db.transactions.commit()
+        self._db.transactions.commit()
         self._owns_transaction = False
         self._writing = False
-        durability = self.system.db.durability
+        durability = self._db.durability
         if sync and durability is not None:
             durability.sync()
 
@@ -437,7 +460,7 @@ class Session:
         # release ownership only once the rollback actually completed: if an
         # undo callback fails, the engine transaction (and the writer lock it
         # holds) stays reachable through this session for a retry
-        self.system.db.transactions.rollback()
+        self._db.transactions.rollback()
         self._owns_transaction = False
         self._writing = False
 
@@ -535,6 +558,7 @@ class Session:
         through whatever view it binds.
         """
 
+        self._check_not_flipped()
         if self.isolation != "snapshot" or self._writing:
             yield None
             return
