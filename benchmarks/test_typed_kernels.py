@@ -3,7 +3,7 @@
 PR 6's acceptance gate: scan/aggregate paths must run ≥5x (target 10x)
 faster on typed columns than the list-based batch executor they replaced.
 Both sides run the *same* plans through the *same* executor — the only
-difference is whether ``Table._columnar_snapshot`` produced
+difference is whether ``Table.snapshot`` produced
 :class:`~repro.relational.typed.TypedColumn` arrays or plain lists
 (``typed_columns_disabled`` flips that), so the measured ratio isolates the
 kernels themselves from parsing/planning overhead.

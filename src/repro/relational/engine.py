@@ -138,7 +138,6 @@ class Database:
         with self.write_lock, self.storage_latch:
             self.catalog.drop_table(name)
             self.statistics.invalidate(name)
-            self.snapshots.forget(name)
             self.publication_epoch += 1
 
     def has_table(self, name: str) -> bool:

@@ -1,10 +1,15 @@
 """Multi-version read views: snapshot-isolation reads over a mutating store.
 
-The batch executor already reads *version-stamped columnar snapshots* out of
+The batch executor already reads *version-stamped snapshots* out of
 :class:`~repro.relational.table.Table` storage: every mutation bumps the
-table's data version, and the per-version snapshot (one immutable list per
-column) is **replaced, never mutated in place**.  That discipline — the same
-one the durability checkpoints exploit to encode state on a background
+table's data version and logs the slots it wrote, and the next
+:class:`TableSnapshot` is **derived from the previous one** by those slots —
+kept rows are cut from the old columns by position, only written rows are
+read and encoded — so a version costs O(written rows) plus one gather per
+column, not a rebuild.  Snapshots are **never mutated after they are
+returned** (a new version is a new object; the stored row dicts it shares
+with the table are replaced on update, not patched).  That discipline — the
+same one the durability checkpoints exploit to encode state on a background
 thread — is exactly what a multi-version read view needs:
 
 * :class:`SnapshotRegistry` pins the current snapshot of every table under a
@@ -25,90 +30,152 @@ thread — is exactly what a multi-version read view needs:
   tables in parallel.
 
 Views are cheap to pin when the store is idle (the per-version snapshot is
-cached on the table) and cost at most one snapshot rebuild per mutated table
-when it is not.  Reads through a view never take the writer lock, which is
-what lets a continuously-committing writer and many readers make progress
-together (see ``docs/concurrency.md``).
+cached on the table) and cost one O(written rows) derivation per mutated
+table when it is not.  Reads through a view never take the writer lock,
+which is what lets a continuously-committing writer and many readers make
+progress together (see ``docs/concurrency.md``).
 """
 
 from __future__ import annotations
 
 import threading
 
+from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ExecutionError
-from .typed import pylist
+from .batch import ColumnData
+from .typed import Splice, splice_column
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .catalog import Catalog
     from .types import TableSchema
 
 
+LookupMap = Dict[Tuple[Any, ...], List[int]]
+
+
 class TableSnapshot:
-    """One immutable (table, version) snapshot retained by the registry.
+    """One immutable (table, version) snapshot.
 
-    ``columns`` holds the table's shared per-version columns (captured by
-    reference — they are never mutated after publication), ``row_count`` the
-    number of live rows they describe.  Columns are plain lists or immutable
-    :class:`~repro.relational.typed.TypedColumn` arrays; either way retention
-    is zero-copy — pinning a superseded version keeps the already-built
-    arrays alive, it never copies them.  Instances are shared by every view
-    pinned at the same version; ``refs`` counts those views.
+    A snapshot lists the table's live rows in ascending slot order three
+    ways: ``slot_ids`` (an int64 array), ``rows`` (the table's own stored
+    row dicts — the table replaces a dict on update and never mutates one in
+    place, so sharing them is safe) and ``columns`` (one plain list or
+    immutable :class:`~repro.relational.typed.TypedColumn` per column).
+    Nothing a snapshot holds is written after it is returned (lookup maps
+    are only ever *added*), so retention is zero-copy: pinning a superseded
+    version keeps its arrays alive, it never copies them.  The table caches its latest snapshot and the registry
+    shares it between every view pinned at that version; ``refs`` counts
+    those views.
 
-    The row-dict materialization and the per-key-column lookup maps are
-    cached *here*, on the shared snapshot, rather than per view: between two
-    writer commits every statement-level view pins the same snapshot, so a
-    point lookup pays the O(rows) map build once per (version, key columns) —
-    not once per query.  The builds are idempotent over immutable inputs, so
-    a concurrent double-build is a benign race (last write wins, both results
-    are equal).
+    :meth:`derive` builds the next version from this one by the slots
+    written since, which is how every snapshot is built — the first one is
+    derived from :meth:`empty`.
+
+    The per-key-column lookup maps are cached on the shared snapshot, so a
+    point lookup pays a map build at most once per (version, key columns),
+    and :meth:`derive` carries built maps forward when no row moves.  Builds
+    are idempotent over immutable inputs, so a concurrent double-build is a
+    benign race (last write wins, both results are equal).
     """
 
-    __slots__ = ("name", "version", "schema", "columns", "row_count", "refs",
-                 "_rows", "_lookup_maps")
+    __slots__ = ("name", "version", "schema", "columns", "slot_ids", "rows",
+                 "row_count", "refs", "_lookup_maps")
 
     def __init__(
         self,
         name: str,
         version: int,
         schema: "TableSchema",
-        columns: Dict[str, List[Any]],
-        row_count: int,
+        columns: Dict[str, ColumnData],
+        slot_ids: np.ndarray,
+        rows: List[Dict[str, Any]],
+        lookup_maps: Optional[Dict[Tuple[str, ...], LookupMap]] = None,
     ) -> None:
         self.name = name
         self.version = version
         self.schema = schema
         self.columns = columns
-        self.row_count = row_count
+        self.slot_ids = slot_ids
+        self.rows = rows
+        self.row_count = len(rows)
         self.refs = 0
-        self._rows: Optional[List[Dict[str, Any]]] = None
-        self._lookup_maps: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], List[int]]] = {}
+        self._lookup_maps: Dict[Tuple[str, ...], LookupMap] = lookup_maps or {}
 
-    def materialized_rows(self) -> List[Dict[str, Any]]:
-        """Row dicts for every live row (built once, shared by all views)."""
+    @classmethod
+    def empty(cls, name: str, schema: "TableSchema", version: int = -1) -> "TableSnapshot":
+        """A snapshot with no rows (the base the first build derives from)."""
 
-        rows = self._rows
-        if rows is None:
-            names = self.schema.column_names()
-            series = [pylist(self.columns[n]) for n in names]
-            if series:
-                rows = [dict(zip(names, values)) for values in zip(*series)]
-            else:
-                rows = [{} for _ in range(self.row_count)]
-            self._rows = rows
-        return rows
+        columns: Dict[str, ColumnData] = {c: [] for c in schema.column_names()}
+        return cls(name, version, schema, columns, np.empty(0, dtype=np.int64), [])
 
-    def lookup_map(self, columns: Tuple[str, ...]) -> Dict[Tuple[Any, ...], List[int]]:
+    def derive(
+        self,
+        slots: List[Optional[Dict[str, Any]]],
+        written: np.ndarray,
+        version: int,
+    ) -> "TableSnapshot":
+        """The snapshot at ``version``: this one plus the ``written`` slots.
+
+        ``slots`` is the table's slot list (a row dict, or ``None`` for a
+        deleted slot) and ``written`` the sorted, unique ids of every slot
+        written since this snapshot.  Only those slots are read: kept rows
+        are cut from this snapshot by position (:class:`Splice` — one
+        gather per column), and only the new rows are encoded.  Lookup maps
+        already built here are carried forward, patched by the written rows,
+        when no kept row changes position; otherwise the new snapshot
+        rebuilds them lazily.
+        """
+
+        if len(written) == len(slots):  # every slot (ids are unique and in range)
+            fetched = slots[:]
+        else:
+            fetched = [slots[slot] for slot in written.tolist()]
+        if None in fetched:
+            live = [i for i, row in enumerate(fetched) if row is not None]
+            new_ids = written[live]
+            new_rows = [fetched[i] for i in live]
+        else:
+            new_ids, new_rows = written, fetched
+        splice = Splice(self.slot_ids, written, new_ids)
+        columns = {
+            column.name: splice_column(
+                self.columns[column.name],
+                splice,
+                [row.get(column.name) for row in new_rows],
+                column.dtype,
+            )
+            for column in self.schema.columns
+        }
+        maps: Dict[Tuple[str, ...], LookupMap] = {}
+        built = list(self._lookup_maps.items())
+        if built and not splice.shifted:
+            old_rows = self.rows
+            dropped = [(p, old_rows[p]) for p in splice.dropped.tolist()]
+            added = list(zip(splice.added.tolist(), new_rows))
+            for key_columns, lookup in built:
+                maps[key_columns] = _patched(lookup, key_columns, dropped, added)
+        return TableSnapshot(
+            self.name,
+            version,
+            self.schema,
+            columns,
+            splice.take_array(self.slot_ids, new_ids),
+            splice.take_list(self.rows, new_rows),
+            maps,
+        )
+
+    def lookup_map(self, columns: Tuple[str, ...]) -> LookupMap:
         """Equality-lookup hash map on ``columns`` (built once per snapshot)."""
 
         cached = self._lookup_maps.get(columns)
         if cached is None:
             cached = {}
-            series = [
-                pylist(self.columns.get(c, [None] * self.row_count)) for c in columns
-            ]
+            series = [[row.get(c) for row in self.rows] for c in columns]
             for row_id, key in enumerate(zip(*series)):
                 cached.setdefault(key, []).append(row_id)
             self._lookup_maps[columns] = cached
@@ -121,6 +188,38 @@ class TableSnapshot:
         )
 
 
+def _patched(
+    lookup: LookupMap,
+    columns: Tuple[str, ...],
+    dropped: List[Tuple[int, Dict[str, Any]]],
+    added: List[Tuple[int, Dict[str, Any]]],
+) -> LookupMap:
+    """``lookup`` without the ``dropped`` and with the ``added`` (position,
+    row) entries.  A copy: neither ``lookup`` nor its id lists are written,
+    because the previous snapshot still serves them."""
+
+    touched: LookupMap = {}
+
+    def ids_of(row: Dict[str, Any]) -> List[int]:
+        key = tuple([row.get(c) for c in columns])
+        ids = touched.get(key)
+        if ids is None:
+            ids = touched[key] = list(lookup.get(key, ()))
+        return ids
+
+    for position, row in dropped:
+        ids_of(row).remove(position)
+    for position, row in added:
+        insort(ids_of(row), position)
+    patched = dict(lookup)
+    for key, ids in touched.items():
+        if ids:
+            patched[key] = ids
+        else:
+            patched.pop(key, None)
+    return patched
+
+
 class TableView:
     """Read-only :class:`Table` facade over one pinned :class:`TableSnapshot`.
 
@@ -130,8 +229,8 @@ class TableView:
       pinned column lists by reference; unknown columns come back all-NULL,
       matching ``Table.column_data``);
     * :meth:`rows` / :meth:`scan` / :meth:`rows_with_ids` — the row
-      executor's iteration surface (row dicts materialize lazily, once per
-      view);
+      executor's iteration surface, over the table's own stored row dicts
+      the snapshot holds (nothing is materialized);
     * :meth:`lookup` / :meth:`lookup_ids` — equality access paths
       (``IndexLookup``, index nested-loop joins); a hash map per key-column
       tuple is built lazily *on the shared snapshot*, so point reads pay the
@@ -183,21 +282,18 @@ class TableView:
 
     # -- row access --------------------------------------------------------
 
-    def _materialized(self) -> List[Dict[str, Any]]:
-        return self._snapshot.materialized_rows()
-
     def rows(self) -> Iterator[Dict[str, Any]]:
         """Iterate live rows (shared dicts; callers must not mutate them)."""
 
-        return iter(self._materialized())
+        return iter(self._snapshot.rows)
 
     def rows_with_ids(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        return enumerate(self._materialized())
+        return enumerate(self._snapshot.rows)
 
     def scan(self) -> Iterator[Dict[str, Any]]:
         """Iterate copies of live rows (safe to mutate downstream)."""
 
-        for row in self._materialized():
+        for row in self._snapshot.rows:
             yield dict(row)
 
     def is_live(self, row_id: int) -> bool:
@@ -208,14 +304,14 @@ class TableView:
             raise ExecutionError(
                 f"invalid row id {row_id} for view of table {self.name!r}"
             )
-        return self._materialized()[row_id]
+        return self._snapshot.rows[row_id]
 
     # -- lookups -----------------------------------------------------------
 
     def lookup(self, columns: Tuple[str, ...], key: Tuple[Any, ...]) -> List[Dict[str, Any]]:
         """Equality lookup against the pinned snapshot (same shape as Table)."""
 
-        rows = self._materialized()
+        rows = self._snapshot.rows
         ids = self._snapshot.lookup_map(tuple(columns)).get(tuple(key), ())
         return [dict(rows[rid]) for rid in ids]
 
@@ -292,14 +388,7 @@ class ReadView:
 
         view = self._views.get(name)
         if view is None:
-            snapshot = TableSnapshot(
-                name=name,
-                version=-1,
-                schema=schema,
-                columns={column: [] for column in schema.column_names()},
-                row_count=0,
-            )
-            view = self._views[name] = TableView(snapshot)
+            view = self._views[name] = TableView(TableSnapshot.empty(name, schema))
         return view
 
     def close(self) -> None:
@@ -343,9 +432,11 @@ class SnapshotRegistry:
     ``pin`` captures one :class:`TableSnapshot` per catalog table — sharing
     the entry when a snapshot at that version is already retained — and
     ``release`` drops entries whose last view closed.  The registry itself
-    never copies data: entries alias the tables' shared per-version column
-    lists, so retention cost is bounded by the number of *distinct versions*
-    still referenced, not by the number of views.
+    never copies data: entries are the tables' own cached snapshots, so
+    retention cost is bounded by the number of *distinct versions* still
+    referenced, not by the number of views.  The current version needs no
+    entry to stay warm — its table caches it (lookup maps included) — so an
+    entry lives exactly as long as someone references it.
 
     ``pin`` must be called with the owning database's storage latch held (see
     :meth:`Database.begin_read_view`), which is what makes the multi-table
@@ -361,12 +452,6 @@ class SnapshotRegistry:
         #: single-threaded workloads.
         self.mvcc_active = False
         self._entries: Dict[Tuple[str, int], TableSnapshot] = {}
-        # The most recent snapshot per table is kept even at zero refs: it is
-        # not superseded (the table is still at that version), and dropping
-        # it would discard the shared row/lookup caches that make repeated
-        # statement-level views cheap.  It is evicted when a *newer* version
-        # is pinned (or the table is forgotten).
-        self._latest: Dict[str, TableSnapshot] = {}
         self._lock = threading.Lock()
         # Releases enqueued by ReadView.__del__ (which must never take the
         # lock — see there); deque.append/popleft are atomic without one.
@@ -377,6 +462,15 @@ class SnapshotRegistry:
 
         self._orphans.append(snapshots)
 
+    def _unref(self, snapshots: Iterable[TableSnapshot]) -> None:
+        """Drop one reference each; caller holds the lock."""
+
+        for snapshot in snapshots:
+            snapshot.refs -= 1
+            key = (snapshot.name, snapshot.version)
+            if snapshot.refs <= 0 and self._entries.get(key) is snapshot:
+                del self._entries[key]
+
     def _drain_orphans(self) -> None:
         """Apply deferred releases; caller holds the lock."""
 
@@ -385,30 +479,15 @@ class SnapshotRegistry:
                 snapshots = self._orphans.popleft()
             except IndexError:
                 return
-            for snapshot in snapshots:
-                snapshot.refs -= 1
-                if snapshot.refs <= 0 and self._latest.get(snapshot.name) is not snapshot:
-                    self._entries.pop((snapshot.name, snapshot.version), None)
+            self._unref(snapshots)
 
     def _get_or_create(self, table: Any) -> TableSnapshot:
         """Entry for the table's current version; caller holds the lock."""
 
-        key = (table.name, table.version)
-        entry = self._entries.get(key)
+        entry = self._entries.get((table.name, table.version))
         if entry is None:
-            entry = TableSnapshot(
-                name=table.name,
-                version=table.version,
-                schema=table.schema,
-                columns=table._columnar_snapshot(),
-                row_count=table.row_count,
-            )
-            self._entries[key] = entry
-        previous = self._latest.get(table.name)
-        if previous is not entry:
-            self._latest[table.name] = entry
-            if previous is not None and previous.refs <= 0:
-                self._entries.pop((previous.name, previous.version), None)
+            entry = table.snapshot()
+            self._entries[(entry.name, entry.version)] = entry
         return entry
 
     def pin(
@@ -459,32 +538,14 @@ class SnapshotRegistry:
     def release(self, snapshots: Iterable[TableSnapshot]) -> None:
         with self._lock:
             self._drain_orphans()
-            for snapshot in snapshots:
-                snapshot.refs -= 1
-                if snapshot.refs <= 0 and self._latest.get(snapshot.name) is not snapshot:
-                    # superseded and unreferenced: nothing can pin it again
-                    self._entries.pop((snapshot.name, snapshot.version), None)
-
-    def forget(self, table_name: str) -> None:
-        """Drop the cached latest snapshot of a dropped table."""
-
-        with self._lock:
-            entry = self._latest.pop(table_name, None)
-            if entry is not None and entry.refs <= 0:
-                self._entries.pop((entry.name, entry.version), None)
+            self._unref(snapshots)
 
     def retained(self) -> List[Tuple[str, int]]:
-        """The (table, version) snapshots pinned by open views or writers.
-
-        Excludes the zero-ref "latest version" cache entries — they are a
-        performance detail, not retention on anyone's behalf.
-        """
+        """The (table, version) snapshots pinned by open views or writers."""
 
         with self._lock:
             self._drain_orphans()
-            return sorted(
-                key for key, entry in self._entries.items() if entry.refs > 0
-            )
+            return sorted(self._entries)
 
     def __len__(self) -> int:
         with self._lock:

@@ -9,18 +9,27 @@ A :class:`Table` owns:
 Row ids are positions in the row list and are what indexes store.  Deleted
 slots are reused only by an explicit :meth:`vacuum`; this keeps undo logs for
 transactions simple (an undo can re-insert at the same row id).
+
+Every mutation also logs the slots it wrote, so :meth:`Table.snapshot` can
+derive the next read snapshot from the previous one in O(written rows)
+instead of rebuilding it (see :class:`~repro.relational.mvcc.TableSnapshot`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import threading
+
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from operator import itemgetter
+
+import numpy as np
 
 from ..errors import CatalogError, ExecutionError, TypeMismatchError
 from .batch import Batch, ColumnData
 from .indexes import HashIndex, Index, IndexDefinition, create_index
-from .typed import TypedColumn, pylist, typed_columns_enabled
+from .mvcc import TableSnapshot
+from .typed import pylist
 from .types import TableSchema
 
 
@@ -33,8 +42,15 @@ class Table:
         self._indexes: Dict[str, Index] = {}
         self._live_count = 0
         self._version = 0
-        self._snapshot: Optional[Dict[str, ColumnData]] = None
-        self._snapshot_version = -1
+        # The latest snapshot, and the dirty log: the slots (ints, or ranges
+        # for batches) written since.  Only mutators touch the log — they
+        # append, or swap in a fresh list to mean "every slot" — and a
+        # snapshot build remembers which list it consumed and how far
+        # (``_consumed``), so a build never loses a concurrent writer's entry.
+        self._snapshot: Optional[TableSnapshot] = None
+        self._dirty: List[Union[int, range]] = []
+        self._consumed: Tuple[Optional[list], int] = (None, 0)
+        self._snapshot_lock = threading.Lock()
         # Per-slot write stamps: the data version at which each slot was last
         # mutated (insert, update, delete, undo re-insert).  Snapshot-isolation
         # transactions compare these against their read view's watermark for
@@ -155,7 +171,28 @@ class Table:
             return self._row_versions[row_id]
         return 0
 
+    def _publish(self, slots: Union[int, range, None] = None) -> None:
+        """Log ``slots`` as written (``None``: every slot), then bump the version.
+
+        Logging first is what :meth:`snapshot` relies on: a build that reads
+        the new version finds the write in the log.  A log longer than the
+        slot list is swapped for a fresh one — the next build then rereads
+        every slot, which costs no more than replaying that many entries.
+        """
+
+        if slots is None:
+            self._dirty = []
+        else:
+            dirty = self._dirty
+            dirty.append(slots)
+            if len(dirty) > len(self._rows):
+                self._dirty = []
+        self._version += 1
+
     def _stamp(self, row_id: int) -> None:
+        """Publish a write of one slot and stamp it with the new version."""
+
+        self._publish(row_id)
         versions = self._row_versions
         if row_id < len(versions):
             versions[row_id] = self._version
@@ -167,9 +204,10 @@ class Table:
     def column_data(self, columns: Iterable[str]) -> Dict[str, ColumnData]:
         """Column-major snapshot of the requested columns over live rows.
 
-        The snapshot for the whole table is built once per data version and
-        shared afterwards (this is the batch executor's scan fast path, so
-        repeated queries read prebuilt columns instead of re-walking row
+        The columns come from :meth:`snapshot` — derived once per data
+        version from the previous version's columns plus the slots written
+        since, and shared afterwards (this is the batch executor's scan fast
+        path, so queries read prebuilt columns instead of re-walking row
         dicts).  Columns whose declared type fits a typed layout come back as
         immutable :class:`~repro.relational.typed.TypedColumn` arrays (the
         vectorized kernels' input); the rest are plain lists.  Callers must
@@ -177,31 +215,49 @@ class Table:
         matching ``row.get``.
         """
 
-        snapshot = self._columnar_snapshot()
+        snapshot = self.snapshot()
         out: Dict[str, ColumnData] = {}
         for name in columns:
-            values = snapshot.get(name)
+            values = snapshot.columns.get(name)
             if values is None:
-                values = [None] * self._live_count
+                values = [None] * snapshot.row_count
             out[name] = values
         return out
 
-    def _columnar_snapshot(self) -> Dict[str, ColumnData]:
-        if self._snapshot is None or self._snapshot_version != self._version:
-            live = [row for row in self._rows if row is not None]
-            snapshot: Dict[str, ColumnData] = {}
-            use_typed = typed_columns_enabled()
-            for column in self.schema.columns:
-                values = [row.get(column.name) for row in live]
-                if use_typed:
-                    typed = TypedColumn.from_values(values, column.dtype)
-                    if typed is not None:
-                        snapshot[column.name] = typed
-                        continue
-                snapshot[column.name] = values
+    def snapshot(self) -> TableSnapshot:
+        """The read snapshot at the current data version.
+
+        Derived from the previous snapshot by the slots logged since (the
+        first one, and the one after a log swap, from the empty snapshot
+        over every slot).  Safe beside a concurrent writer: the version is
+        captured before the log and the log before the slots, so the result
+        is never older than its stamp, and anything written after the
+        capture bumps the version past it and is derived next time.
+        """
+
+        current = self._snapshot
+        if current is not None and current.version == self._version:
+            return current
+        with self._snapshot_lock:
+            version = self._version
+            previous = self._snapshot
+            if previous is not None and previous.version == version:
+                return previous
+            log = self._dirty
+            end = len(log)
+            slots = self._rows
+            consumed, start = self._consumed
+            if previous is None or consumed is not log:
+                previous = TableSnapshot.empty(self.name, self.schema)
+                written = np.arange(len(slots), dtype=np.int64)
+            else:
+                written = _slot_ids(log[start:end])
+                # a truncate racing this build may have swapped in a shorter list
+                written = written[written < len(slots)]
+            snapshot = previous.derive(slots, written, version)
             self._snapshot = snapshot
-            self._snapshot_version = self._version
-        return self._snapshot
+            self._consumed = (log, end)
+            return snapshot
 
     # -- durability ----------------------------------------------------------
     #
@@ -214,18 +270,18 @@ class Table:
     def dump_slots(self) -> Dict[str, Any]:
         """Columnar durable image: slot count, live row ids, column data.
 
-        The column lists are the table's shared per-version snapshot (the
-        same lists batch scans read).  They are replaced, never mutated, on
-        a data-version bump, so holding them while a background checkpoint
-        writer encodes is safe.
+        Live ids and columns both come from the current :meth:`snapshot`, so
+        they agree by construction.  A snapshot is never mutated once
+        returned, so holding it while a background checkpoint writer encodes
+        is safe.
         """
 
-        snapshot = self._columnar_snapshot()
+        snapshot = self.snapshot()
         return {
             "slots": len(self._rows),
-            "live_ids": [rid for rid, row in enumerate(self._rows) if row is not None],
+            "live_ids": snapshot.slot_ids.tolist(),
             "columns": {
-                name: pylist(snapshot[name]) for name in self.schema.column_names()
+                name: pylist(snapshot.columns[name]) for name in self.schema.column_names()
             },
         }
 
@@ -235,13 +291,14 @@ class Table:
         """Rebuild storage from a durable image (inverse of :meth:`dump_slots`)."""
 
         names = self.schema.column_names()
-        self._rows = [None] * slots
+        rows: List[Optional[Dict[str, Any]]] = [None] * slots
         if live_ids:
             series = [columns[name] for name in names]
             for row_id, values in zip(live_ids, zip(*series)):
-                self._rows[row_id] = dict(zip(names, values))
+                rows[row_id] = dict(zip(names, values))
+        self._rows = rows
         self._live_count = len(live_ids)
-        self._version += 1
+        self._publish()
         self._row_versions = [self._version] * slots
         for index in self._indexes.values():
             index.clear()
@@ -274,9 +331,12 @@ class Table:
             self._live_count += 1
             applied += 1
         if applied:
-            self._version += 1
-            for row_id in range(start, start + len(validated)):
-                self._stamp(row_id)
+            stop = start + len(validated)
+            self._publish(range(start, stop))
+            versions = self._row_versions
+            if len(versions) < stop:
+                versions.extend([0] * (stop - len(versions)))
+            versions[start:stop] = [self._version] * (stop - start)
         return applied
 
     def apply_delete_slot(self, row_id: int) -> bool:
@@ -296,7 +356,6 @@ class Table:
         row_id = len(self._rows)
         self._rows.append(validated)
         self._live_count += 1
-        self._version += 1
         self._stamp(row_id)
         for index in self._indexes.values():
             index.insert(row_id, validated)
@@ -316,6 +375,10 @@ class Table:
         (patched in place if a column needed coercion) and adopted as
         storage by :meth:`insert_batch`, so no per-row dict is ever rebuilt.
         Callers must not reuse row dicts after passing them in.
+
+        The patching happens here, *before* adoption, and nowhere else:
+        stored row dicts are never mutated in place (see :meth:`update_row`),
+        because snapshots and the read views over them share those dicts.
         """
 
         schema = self.schema
@@ -382,9 +445,10 @@ class Table:
     ) -> List[int]:
         """Validate and append many rows in one pass; returns their row ids.
 
-        Storage is appended once, the data version is bumped once (so the
-        columnar snapshot is rebuilt at most once afterwards) and every
-        index builds its postings in bulk instead of per-row dict probing.
+        Storage is appended once, the dirty log records one range and the
+        data version is bumped once (so the next snapshot derives the batch
+        in one step) and every index builds its postings in bulk instead of
+        per-row dict probing.
         ``validated=True`` skips re-validation when the caller already holds
         a batch from :meth:`validate_batch` (the engine does, because
         constraint checks run in between).  Like :meth:`validate_batch`,
@@ -406,7 +470,7 @@ class Table:
         start = len(self._rows)
         self._rows.extend(new_rows)
         self._live_count += batch.length
-        self._version += 1
+        self._publish(range(start, start + batch.length))
         self._row_versions.extend([self._version] * batch.length)
         for index in self._indexes.values():
             if isinstance(index, HashIndex):
@@ -430,7 +494,6 @@ class Table:
         validated = self.schema.validate_row(row)
         self._rows[row_id] = validated
         self._live_count += 1
-        self._version += 1
         self._stamp(row_id)
         for index in self._indexes.values():
             index.insert(row_id, validated)
@@ -441,12 +504,17 @@ class Table:
             index.delete(row_id, row)
         self._rows[row_id] = None
         self._live_count -= 1
-        self._version += 1
         self._stamp(row_id)
         return row
 
     def update_row(self, row_id: int, changes: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """Apply ``changes`` to a row; returns (old_row, new_row)."""
+        """Apply ``changes`` to a row; returns (old_row, new_row).
+
+        The slot gets a *new* dict; the old one is returned untouched.
+        Stored row dicts are never mutated in place — snapshots, and the
+        read views over them, share those dicts with the table, so patching
+        one would rewrite history under a pinned view.
+        """
 
         old = self.get_row(row_id)
         merged = dict(old)
@@ -456,7 +524,6 @@ class Table:
             index.delete(row_id, old)
             index.insert(row_id, validated)
         self._rows[row_id] = validated
-        self._version += 1
         self._stamp(row_id)
         return old, validated
 
@@ -485,9 +552,10 @@ class Table:
         return updated
 
     def truncate(self) -> None:
-        self._rows.clear()
+        # replace, never clear: a snapshot build may be reading the old list
+        self._rows = []
         self._live_count = 0
-        self._version += 1
+        self._publish()
         self._row_versions.clear()
         for index in self._indexes.values():
             index.clear()
@@ -498,7 +566,7 @@ class Table:
         live = [row for row in self._rows if row is not None]
         self._rows = list(live)
         self._live_count = len(live)
-        self._version += 1
+        self._publish()
         self._row_versions = [self._version] * len(live)
         for index in self._indexes.values():
             index.clear()
@@ -531,3 +599,11 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name} rows={self._live_count} cols={self.schema.column_names()}>"
+
+
+def _slot_ids(entries: Sequence[Union[int, range]]) -> np.ndarray:
+    """Sorted, unique slot ids named by dirty-log entries."""
+
+    ids = [np.array([e for e in entries if type(e) is int], dtype=np.int64)]
+    ids += [np.arange(e.start, e.stop, dtype=np.int64) for e in entries if type(e) is range]
+    return np.unique(np.concatenate(ids))

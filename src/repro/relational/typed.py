@@ -38,15 +38,18 @@ registry and background checkpoints already rely on for list snapshots);
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from bisect import bisect_right
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ExecutionError
 
 __all__ = [
+    "Splice",
     "TypedColumn",
     "pylist",
+    "splice_column",
     "typed_columns_enabled",
     "typed_columns_disabled",
     "from_values",
@@ -54,9 +57,9 @@ __all__ = [
 
 _NONE_TYPE = type(None)
 
-#: Module switch consulted by Table._columnar_snapshot; the benchmark gate
-#: and a handful of tests flip it to measure / exercise the pure-Python
-#: object path against identical data.
+#: Module switch consulted by :func:`splice_column` (every snapshot build);
+#: the benchmark gate and a handful of tests flip it to measure / exercise
+#: the pure-Python object path against identical data.
 _ENABLED = True
 
 
@@ -331,6 +334,34 @@ class TypedColumn:
             validity = ~pad
         return TypedColumn(self.kind, values, validity, self.dictionary, self._encode)
 
+    def _spliced(
+        self, splice: "Splice", values: List[Any], dtype: Optional[Any]
+    ) -> Optional["TypedColumn"]:
+        """This column cut by ``splice`` with ``values`` as its new rows;
+        ``None`` when a value does not fit this column's kind."""
+
+        if self.kind == "str":
+            assert self.dictionary is not None
+            encode = self._encode
+            if encode is None:
+                encode = {s: i for i, s in enumerate(self.dictionary)}
+            encoded = _encode_strs(values, self.dictionary, encode)
+            if encoded is None:
+                return None
+            codes, dictionary, encode = encoded
+            merged = splice.take_array(self.values, codes)
+            return TypedColumn("str", merged, _str_validity(merged), dictionary, encode)
+        fresh = TypedColumn.from_values(values, dtype)
+        if fresh is None or fresh.kind != self.kind:
+            return None
+        merged = splice.take_array(self.values, fresh.values)
+        validity = None
+        if self.validity is not None or fresh.validity is not None:
+            validity = splice.take_array(self.valid_mask(), fresh.valid_mask())
+            if validity.all():
+                validity = None
+        return TypedColumn(self.kind, merged, validity)
+
     # -- string dictionary ---------------------------------------------------
 
     def code_of(self, value: str) -> Optional[int]:
@@ -405,8 +436,6 @@ _ALLOWED_TYPES = {
 def _kind_for(values: Sequence[Any], dtype: Optional[Any]) -> Optional[str]:
     """Target kind from the declared type, else inferred from value types."""
 
-    kinds = set(map(type, values))
-    kinds.discard(_NONE_TYPE)
     if dtype is not None:
         # Late import keeps typed.py importable without the types module.
         from .types import BoolType, FloatType, IntType, TextType
@@ -421,6 +450,9 @@ def _kind_for(values: Sequence[Any], dtype: Optional[Any]) -> Optional[str]:
             hinted = "str"
         else:
             return None
+    kinds = set(map(type, values))
+    kinds.discard(_NONE_TYPE)
+    if dtype is not None:
         return hinted if kinds <= _ALLOWED_TYPES[hinted] else None
     if not kinds:
         return None  # all-NULL with no hint: keep the list
@@ -455,21 +487,179 @@ def _build_numeric(values: List[Any], kind: str) -> Optional[TypedColumn]:
         return None
 
 
-def _build_str(values: List[Any]) -> Optional[TypedColumn]:
-    encode: Dict[str, int] = {}
-    setdefault = encode.setdefault
-    codes = np.empty(len(values), dtype=np.int32)
-    has_null = False
-    for i, v in enumerate(values):
+def _encode_strs(
+    values: List[Any], dictionary: List[str], encode: Dict[str, int]
+) -> Optional[Tuple[np.ndarray, List[str], Dict[str, int]]]:
+    """Codes of ``values`` against a dictionary, extended by unseen strings.
+
+    The given ``dictionary``/``encode`` are never mutated — the first unseen
+    string copies both — because retained columns may still share them.
+    Returns ``None`` when a value is neither a string nor NULL.
+    """
+
+    codes: List[int] = []
+    append = codes.append
+    get = encode.get
+    owned = False
+    for v in values:
         if v is None:
-            codes[i] = -1
-            has_null = True
-        elif type(v) is str:
-            codes[i] = setdefault(v, len(encode))
-        else:
+            append(-1)
+            continue
+        if type(v) is not str:
             return None
-    validity = (codes >= 0) if has_null else None
-    return TypedColumn("str", codes, validity, list(encode), encode)
+        code = get(v)
+        if code is None:
+            if not owned:
+                dictionary, encode, owned = list(dictionary), dict(encode), True
+                get = encode.get
+            code = encode[v] = len(dictionary)
+            dictionary.append(v)
+        append(code)
+    return np.array(codes, dtype=np.int32), dictionary, encode
+
+
+def _str_validity(codes: np.ndarray) -> Optional[np.ndarray]:
+    valid = codes >= 0
+    return None if valid.all() else valid
+
+
+def _build_str(values: List[Any]) -> Optional[TypedColumn]:
+    encoded = _encode_strs(values, [], {})
+    if encoded is None:
+        return None
+    codes, dictionary, encode = encoded
+    return TypedColumn("str", codes, _str_validity(codes), dictionary, encode)
+
+
+# ---------------------------------------------------------------------------
+# Splicing: the next version of a column from the previous one
+# ---------------------------------------------------------------------------
+
+
+class Splice:
+    """How one version of a table's rows becomes the next.
+
+    Both versions list live rows in ascending slot order.  The next version
+    keeps every previous row whose slot was not written, drops the written
+    ones, and places the written slots that are still live (the *new* rows)
+    by slot id.  ``pieces`` spells that out in destination order as
+    ``(from_new, start, stop)`` slices of either the previous rows or the
+    new rows, so applying a splice is one slice copy per piece — O(written
+    rows) pieces however long the table is.
+
+    ``dropped`` holds the previous positions that were written, ``added``
+    the destination of each new row, and ``shifted`` whether any kept row
+    changes position (a delete, or an insert below a kept slot); while it is
+    false, position-keyed structures can be patched instead of rebuilt.
+    """
+
+    __slots__ = ("length", "pieces", "dropped", "added", "shifted")
+
+    def __init__(self, old_ids: np.ndarray, written: np.ndarray, new_ids: np.ndarray) -> None:
+        """``old_ids``: the previous version's slot ids; ``written``: the
+        written slot ids; ``new_ids``: the live subset of ``written``.  All
+        three are sorted and free of duplicates."""
+
+        count = len(old_ids)
+        at = np.searchsorted(old_ids, written)
+        hit = at < count
+        hit[hit] = old_ids[at[hit]] == written[hit]
+        dropped = at[hit]
+        # each new row goes right before this previous position
+        goes_before = np.searchsorted(old_ids, new_ids)
+        cuts = np.union1d(dropped, goes_before).tolist()
+        before = goes_before.tolist()
+        dropped_set = set(dropped.tolist())
+        added = np.empty(len(before), dtype=np.intp)
+        pieces: List[Tuple[bool, int, int]] = []
+        shifted = False
+        i = j = dest = 0
+        for p in cuts:
+            if p > i:
+                pieces.append((False, i, p))
+                shifted = shifted or dest != i
+                dest += p - i
+            k = bisect_right(before, p, j)
+            if k > j:
+                pieces.append((True, j, k))
+                added[j:k] = np.arange(dest, dest + k - j)
+                dest += k - j
+                j = k
+            i = p + 1 if p in dropped_set else p
+        if i < count:
+            pieces.append((False, i, count))
+            shifted = shifted or dest != i
+            dest += count - i
+        self.length = dest
+        self.pieces = pieces
+        self.dropped = dropped
+        self.added = added
+        self.shifted = shifted
+
+    def take_list(self, old: List[Any], new: List[Any]) -> List[Any]:
+        """The next version of a plain list.
+
+        Inputs are never written, but one that passes through whole is
+        returned as is, so both must be immutable from here on.
+        """
+
+        if len(self.pieces) == 1:
+            from_new, start, stop = self.pieces[0]
+            source = new if from_new else old
+            return source if stop - start == len(source) else source[start:stop]
+        if not self.shifted:
+            # every kept row stays put: copy once, overwrite/append new rows
+            out = old[: self.length]
+            for from_new, start, stop in self.pieces:
+                if from_new:
+                    at = self.added[start]
+                    out[at : at + stop - start] = new[start:stop]
+            return out
+        out = []
+        for from_new, start, stop in self.pieces:
+            out += (new if from_new else old)[start:stop]
+        return out
+
+    def take_array(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """The next version of a numpy array (may be a view of an input,
+        which is never written)."""
+
+        parts = [(new if from_new else old)[start:stop] for from_new, start, stop in self.pieces]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return new[:0]
+        return np.concatenate(parts)
+
+
+def splice_column(
+    old: Union[TypedColumn, List[Any]],
+    splice: Splice,
+    values: List[Any],
+    dtype: Optional[Any] = None,
+) -> Union[TypedColumn, List[Any]]:
+    """The next version of a column: ``old`` cut by ``splice``, ``values`` as its new rows.
+
+    The result is what :meth:`TypedColumn.from_values` (or the plain-list
+    fallback) would give for the whole next version, and never writes into
+    ``old`` — retained snapshots may still hold it.  A typed column encodes
+    just ``values`` and gathers the rest by position; a string column reuses
+    its dictionary, copying it only to add strings it has not seen.  A plain
+    list is spliced as a list and retyped, which also makes the first build
+    (``old`` empty) and a return from the fallback the same call.
+    """
+
+    use_typed = typed_columns_enabled()
+    if use_typed and isinstance(old, TypedColumn):
+        spliced = old._spliced(splice, values, dtype)
+        if spliced is not None:
+            return spliced
+    merged = splice.take_list(pylist(old), values)
+    if use_typed:
+        typed = TypedColumn.from_values(merged, dtype)
+        if typed is not None:
+            return typed
+    return merged
 
 
 def from_values(values: Sequence[Any], dtype: Optional[Any] = None):

@@ -336,6 +336,46 @@ class TestWriterLockProtocol:
             assert not thread.is_alive()
             assert result["rows"] == 8
 
+    def test_readers_never_block_on_open_writer_transaction(self):
+        """A snapshot session's reader completes while a writer transaction
+        sits open — and sees only committed data."""
+
+        from repro import ErbiumDB
+
+        rows = 500
+        system = ErbiumDB("open-writer")
+        system.execute_ddl(
+            "create entity person (id int primary key, name varchar, age int, city varchar);"
+        )
+        system.set_mapping()
+        system.insert_many(
+            "person",
+            [
+                {"id": i, "name": f"n{i}", "age": 20 + i % 50, "city": f"c{i % 20}"}
+                for i in range(rows)
+            ],
+        )
+        system.db.activate_mvcc()  # steady state: MVCC already in use
+        writer_session = system.session()
+        writer_session.begin()
+        writer_session.insert_many(
+            "person",
+            [{"id": 20_000_000 + i, "name": "open", "age": 1, "city": "w"} for i in range(100)],
+        )
+        result = {}
+
+        def reader():
+            session = system.session(isolation="snapshot")
+            result["count"] = session.query("select count(id) from person p").scalar()
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        thread.join(timeout=10)
+        alive = thread.is_alive()
+        writer_session.rollback()
+        assert not alive, "snapshot reader blocked behind an open writer transaction"
+        assert result["count"] == rows  # the open transaction's rows are invisible
+
 
 class TestThreadLocalExecutionState:
     def test_parameter_scopes_are_per_thread(self):
