@@ -1,18 +1,20 @@
 """Shared benchmark fixtures.
 
-``BENCH_SCALE`` can be overridden via the ``ERBIUM_BENCH_SCALE`` environment
-variable to run the experiments closer to the paper's data volume (the paper
-uses ≈5M rows; the default here keeps the whole suite in seconds on a laptop —
-see DESIGN.md's substitution table).
+``BENCH_SCALE`` R entities keep the whole suite in seconds on a laptop (the
+paper uses ≈5M rows).  Performance numbers come from ``erbench``; these
+benchmarks check the paper's *directions* (which mapping wins).
 """
-
-import os
 
 import pytest
 
-from repro.bench import get_suite
+from repro import ErbiumDB
+from repro.workloads.synthetic import (
+    build_synthetic_schema,
+    generate_synthetic_data,
+    synthetic_mappings,
+)
 
-BENCH_SCALE = int(os.environ.get("ERBIUM_BENCH_SCALE", "400"))
+BENCH_SCALE = 400
 
 
 def pytest_collection_modifyitems(items):
@@ -28,7 +30,15 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(scope="session")
-def suite():
+def systems():
     """Six mapped and loaded Figure 4 databases (M1..M6), built once."""
 
-    return get_suite(scale=BENCH_SCALE)
+    schema = build_synthetic_schema()
+    data = generate_synthetic_data(scale=BENCH_SCALE, seed=42)
+    loaded = {}
+    for label, spec in synthetic_mappings(schema).items():
+        system = ErbiumDB(label, schema.clone(label))
+        system.set_mapping(spec)
+        system.load(data.entities, data.relationships)
+        loaded[label] = system
+    return loaded

@@ -7,39 +7,38 @@ pointer-based store of :mod:`repro.storage.factorized` (the representation the
 paper argues is needed to make M6-style layouts viable).
 """
 
-from repro.bench.experiments import get_experiment
-from repro.bench.reporting import evaluate_claim
+from repro.bench.experiments import evaluate_claim, get_experiment
 from repro.storage import FactorizedStore
 
 
 class TestE8aPrejoinedQuery:
-    def test_e8a_m1_join_table(self, suite, benchmark):
+    def test_e8a_m1_join_table(self, systems, benchmark):
         experiment = get_experiment("E8a")
-        benchmark(lambda: suite.run_query("M1", experiment.query))
+        benchmark(lambda: len(systems["M1"].query(experiment.query)))
 
-    def test_e8a_m6_costored(self, suite, benchmark):
+    def test_e8a_m6_costored(self, systems, benchmark):
         experiment = get_experiment("E8a")
-        benchmark(lambda: suite.run_query("M6", experiment.query))
+        benchmark(lambda: len(systems["M6"].query(experiment.query)))
 
-    def test_e8a_direction(self, suite):
+    def test_e8a_direction(self, systems):
         experiment = get_experiment("E8a")
-        results = experiment.run(suite)
+        results = experiment.run(systems)
         outcomes = [evaluate_claim(c, results, experiment) for c in experiment.claims]
         assert all(o.direction_reproduced for o in outcomes), [o.describe() for o in outcomes]
 
 
 class TestE8bSingleTablePenalty:
-    def test_e8b_m1(self, suite, benchmark):
+    def test_e8b_m1(self, systems, benchmark):
         experiment = get_experiment("E8b")
-        benchmark(lambda: suite.run_query("M1", experiment.query))
+        benchmark(lambda: len(systems["M1"].query(experiment.query)))
 
-    def test_e8b_m6(self, suite, benchmark):
+    def test_e8b_m6(self, systems, benchmark):
         experiment = get_experiment("E8b")
-        benchmark(lambda: suite.run_query("M6", experiment.query))
+        benchmark(lambda: len(systems["M6"].query(experiment.query)))
 
-    def test_e8b_direction(self, suite):
+    def test_e8b_direction(self, systems):
         experiment = get_experiment("E8b")
-        results = experiment.run(suite)
+        results = experiment.run(systems)
         outcomes = [evaluate_claim(c, results, experiment) for c in experiment.claims]
         assert all(o.direction_reproduced for o in outcomes), [o.describe() for o in outcomes]
 
@@ -47,8 +46,8 @@ class TestE8bSingleTablePenalty:
 class TestFactorizedAblation:
     """Compact multi-relation storage vs. the flat duplicated wide table."""
 
-    def _build_store(self, suite) -> FactorizedStore:
-        system = suite.system("M1")
+    def _build_store(self, systems) -> FactorizedStore:
+        system = systems["M1"]
         store = FactorizedStore("r2_s1", "r2", "r_id", "s1", "s1_key")
         for key in system.crud.entity_keys("R2"):
             values = system.get("R2", key)
@@ -61,17 +60,17 @@ class TestFactorizedAblation:
                 store.link(key[0], other)
         return store
 
-    def test_factorized_join_enumeration(self, suite, benchmark):
-        store = self._build_store(suite)
+    def test_factorized_join_enumeration(self, systems, benchmark):
+        store = self._build_store(systems)
         rows = benchmark(lambda: list(store.join()))
         assert len(rows) == store.count_join()
 
-    def test_factorized_pushed_down_aggregate(self, suite, benchmark):
-        store = self._build_store(suite)
+    def test_factorized_pushed_down_aggregate(self, systems, benchmark):
+        store = self._build_store(systems)
         totals = benchmark(lambda: store.aggregate_right_per_left(lambda r: r["s1_x"]))
         assert len(totals) == len(store.left)
 
-    def test_factorized_form_is_more_compact_than_flat(self, suite):
-        store = self._build_store(suite)
+    def test_factorized_form_is_more_compact_than_flat(self, systems):
+        store = self._build_store(systems)
         if store.count_join() > len(store.left):
             assert store.flat_duplication_factor() > 1.0

@@ -6,46 +6,45 @@ one table.  E6: a selective R ⋈ S join where M1 and M4 land close together
 despite M4's five-relation union.
 """
 
-from repro.bench.experiments import get_experiment
-from repro.bench.reporting import evaluate_claim
+from repro.bench.experiments import evaluate_claim, get_experiment
 
 
 class TestE5SubclassScan:
-    def test_e5_m1_delta_join(self, suite, benchmark):
+    def test_e5_m1_delta_join(self, systems, benchmark):
         experiment = get_experiment("E5")
-        benchmark(lambda: suite.run_query("M1", experiment.query))
+        benchmark(lambda: len(systems["M1"].query(experiment.query)))
 
-    def test_e5_m3_single_table(self, suite, benchmark):
+    def test_e5_m3_single_table(self, systems, benchmark):
         experiment = get_experiment("E5")
-        benchmark(lambda: suite.run_query("M3", experiment.query))
+        benchmark(lambda: len(systems["M3"].query(experiment.query)))
 
-    def test_e5_m4_disjoint(self, suite, benchmark):
+    def test_e5_m4_disjoint(self, systems, benchmark):
         experiment = get_experiment("E5")
-        benchmark(lambda: suite.run_query("M4", experiment.query))
+        benchmark(lambda: len(systems["M4"].query(experiment.query)))
 
-    def test_e5_directions(self, suite):
+    def test_e5_directions(self, systems):
         experiment = get_experiment("E5")
-        results = experiment.run(suite)
+        results = experiment.run(systems)
         outcomes = [evaluate_claim(c, results, experiment) for c in experiment.claims]
         assert all(o.direction_reproduced for o in outcomes), [o.describe() for o in outcomes]
 
-    def test_e5_same_answer_everywhere(self, suite):
+    def test_e5_same_answer_everywhere(self, systems):
         experiment = get_experiment("E5")
-        counts = {m: suite.run_query(m, experiment.query) for m in experiment.mappings}
+        counts = {m: len(systems[m].query(experiment.query)) for m in experiment.mappings}
         assert len(set(counts.values())) == 1
 
 
 class TestE6JoinWithPredicates:
-    def test_e6_m1(self, suite, benchmark):
+    def test_e6_m1(self, systems, benchmark):
         experiment = get_experiment("E6")
-        benchmark(lambda: suite.run_query("M1", experiment.query))
+        benchmark(lambda: len(systems["M1"].query(experiment.query)))
 
-    def test_e6_m4_union_join(self, suite, benchmark):
+    def test_e6_m4_union_join(self, systems, benchmark):
         experiment = get_experiment("E6")
-        benchmark(lambda: suite.run_query("M4", experiment.query))
+        benchmark(lambda: len(systems["M4"].query(experiment.query)))
 
-    def test_e6_parity(self, suite):
+    def test_e6_parity(self, systems):
         experiment = get_experiment("E6")
-        results = experiment.run(suite)
+        results = experiment.run(systems)
         outcomes = [evaluate_claim(c, results, experiment) for c in experiment.claims]
         assert all(o.direction_reproduced for o in outcomes), [o.describe() for o in outcomes]

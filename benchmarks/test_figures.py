@@ -21,7 +21,6 @@ import pytest
 
 from repro import ErbiumDB
 from repro.api import ApiService
-from repro.bench.harness import DEFAULT_REPEATS
 from repro.core import ERGraph
 from repro.erql import schema_from_ddl
 from repro.evolution import MakeAttributeMultiValued, Migrator, analyze_query_impact, impact_summary

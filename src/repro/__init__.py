@@ -6,7 +6,7 @@ subpackages (documented in DESIGN.md):
 
 * :mod:`repro.core` — the E/R model (entities, relationships, attributes, graph);
 * :mod:`repro.relational` — the embedded relational engine substrate;
-* :mod:`repro.storage` — columnar / nested / factorized storage layouts;
+* :mod:`repro.storage` — the factorized storage layout of the E8 ablation;
 * :mod:`repro.erql` — the DDL + SQL-variant query language and planner;
 * :mod:`repro.mapping` — graph-cover physical mappings, CRUD templates, optimizer;
 * :mod:`repro.evolution` — schema evolution, migration, versioning;
@@ -15,7 +15,11 @@ subpackages (documented in DESIGN.md):
   log, diagnostic bundles;
 * :mod:`repro.api` — in-process REST-like API layer;
 * :mod:`repro.workloads` — Figure 1 / Figure 4 schemas and data generators;
-* :mod:`repro.bench` — the Section 6 experiment harness.
+* :mod:`repro.bench` — the Section 6 experiment registry (E1–E8) and claim
+  evaluation behind ``benchmarks/test_exp_*.py``.
+
+Performance numbers come from the ``erbench`` harness at the repository root,
+not from this package.
 """
 
 from .observability import Observability

@@ -1,41 +1,23 @@
-"""Benchmark harness for the paper's Section 6 experiments.
+"""The paper's Section 6 experiments: the E1–E8 registry with the paper's
+reported outcomes, best-of-k timing across mapped systems, and claim
+evaluation (:mod:`repro.bench.experiments`)."""
 
-* :class:`SyntheticBenchmarkSuite` / :func:`get_suite` — load the Figure 4
-  dataset under each mapping once and time queries;
-* :mod:`repro.bench.experiments` — the registry of experiments E1–E8 with the
-  paper's reported outcomes;
-* :mod:`repro.bench.reporting` — claim evaluation and table rendering.
-"""
-
-from .experiments import EXPERIMENTS, Experiment, PaperClaim, all_experiments, get_experiment
-from .harness import Measurement, SyntheticBenchmarkSuite, get_suite, ratio
-from .reporting import (
+from .experiments import (
+    EXPERIMENTS,
     ClaimOutcome,
-    LoadOutcome,
+    Experiment,
+    PaperClaim,
+    all_experiments,
     evaluate_claim,
-    format_load_table,
-    format_table,
-    load_table,
-    run_all,
-    to_markdown,
+    get_experiment,
 )
 
 __all__ = [
-    "SyntheticBenchmarkSuite",
-    "get_suite",
-    "Measurement",
-    "ratio",
+    "EXPERIMENTS",
+    "ClaimOutcome",
     "Experiment",
     "PaperClaim",
-    "EXPERIMENTS",
     "all_experiments",
-    "get_experiment",
-    "ClaimOutcome",
-    "LoadOutcome",
     "evaluate_claim",
-    "run_all",
-    "format_table",
-    "load_table",
-    "format_load_table",
-    "to_markdown",
+    "get_experiment",
 ]

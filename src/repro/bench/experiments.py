@@ -4,18 +4,27 @@ Each :class:`Experiment` records:
 
 * the ERQL query (or operation) that realizes the paper's prose description;
 * which mappings it compares;
-* the paper's reported outcome (direction + rough factor), used by
-  EXPERIMENTS.md and by the benchmark assertions, which check *direction*
-  (who wins) rather than absolute numbers.
+* the paper's reported outcome (direction + rough factor), which the
+  benchmark assertions check as *direction* (who wins) rather than absolute
+  numbers — the paper reports ratios because absolute numbers depend on the
+  machine, and ours additionally depend on the pure-Python substrate.
+
+:meth:`Experiment.run` times one experiment across loaded mapped systems and
+:func:`evaluate_claim` judges the measurement against one paper claim.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..system import ErbiumDB
-from .harness import DEFAULT_REPEATS, DEFAULT_WARMUP, Measurement, SyntheticBenchmarkSuite
+
+#: Timed runs per mapping; direction claims compare the best of them.
+DEFAULT_REPEATS = 7
+#: Untimed runs first, so the plan cache and table snapshots are warm.
+DEFAULT_WARMUP = 2
 
 
 @dataclass
@@ -48,24 +57,89 @@ class Experiment:
     claims: List[PaperClaim] = field(default_factory=list)
     operation: Optional[Callable[[ErbiumDB], object]] = None
 
-    def run(
-        self,
-        suite: SyntheticBenchmarkSuite,
-        repeats: int = DEFAULT_REPEATS,
-        warmup: int = DEFAULT_WARMUP,
-    ) -> Dict[str, Measurement]:
-        results: Dict[str, Measurement] = {}
+    def run(self, systems: Mapping[str, ErbiumDB]) -> Dict[str, float]:
+        """Best wall-clock seconds per compared mapping.
+
+        ``DEFAULT_WARMUP`` untimed runs, then the minimum of
+        ``DEFAULT_REPEATS`` timed runs: interruptions only ever add time, so
+        the minimum is the steady-state estimator least sensitive to
+        scheduler noise.
+        """
+
+        operation = self.operation or (lambda system: system.query(self.query))
+        best: Dict[str, float] = {}
         for mapping in self.mappings:
-            if self.operation is not None:
-                results[mapping] = suite.time_callable(
-                    self.id, mapping, self.operation, repeats, warmup=warmup
-                )
-            else:
-                assert self.query is not None
-                results[mapping] = suite.time_query(
-                    self.id, mapping, self.query, repeats, warmup=warmup
-                )
-        return results
+            system = systems[mapping]
+            for _ in range(DEFAULT_WARMUP):
+                operation(system)
+            times = []
+            for _ in range(DEFAULT_REPEATS):
+                start = time.perf_counter()
+                operation(system)
+                times.append(time.perf_counter() - start)
+            best[mapping] = min(times)
+        return best
+
+
+@dataclass
+class ClaimOutcome:
+    """Measured outcome for one paper claim."""
+
+    experiment_id: str
+    title: str
+    faster_mapping: str
+    slower_mapping: str
+    reported_factor: float
+    measured_factor: float
+    faster_seconds: float
+    slower_seconds: float
+    direction_reproduced: bool
+    paper_numbers: str
+
+    def describe(self) -> Dict[str, object]:
+        return {
+            "experiment": self.experiment_id,
+            "title": self.title,
+            "faster": self.faster_mapping,
+            "slower": self.slower_mapping,
+            "reported_factor": self.reported_factor,
+            "measured_factor": round(self.measured_factor, 2),
+            "faster_seconds": round(self.faster_seconds, 6),
+            "slower_seconds": round(self.slower_seconds, 6),
+            "direction_reproduced": self.direction_reproduced,
+            "paper_numbers": self.paper_numbers,
+        }
+
+
+def evaluate_claim(claim: PaperClaim, results: Mapping[str, float],
+                   experiment: Experiment, tolerance: float = 0.65) -> ClaimOutcome:
+    """Compare one :meth:`Experiment.run` result against the paper's claim.
+
+    The measured factor is how many times slower the claimed-slower mapping
+    ran.  ``direction_reproduced`` is lenient for claims of parity
+    (factor == 1.0): the two mappings must be within ``1/tolerance`` of each
+    other.
+    """
+
+    fast = results[claim.faster_mapping]
+    slow = results[claim.slower_mapping]
+    measured = slow / fast if fast > 0 else float("inf")
+    if claim.factor == 1.0:
+        direction = tolerance <= measured <= 1.0 / tolerance
+    else:
+        direction = measured > 1.0
+    return ClaimOutcome(
+        experiment_id=experiment.id,
+        title=experiment.title,
+        faster_mapping=claim.faster_mapping,
+        slower_mapping=claim.slower_mapping,
+        reported_factor=claim.factor,
+        measured_factor=measured,
+        faster_seconds=fast,
+        slower_seconds=slow,
+        direction_reproduced=direction,
+        paper_numbers=claim.paper_numbers,
+    )
 
 
 def _e7a_operation(system: ErbiumDB) -> object:

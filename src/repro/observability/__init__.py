@@ -23,8 +23,8 @@ could not:
 slow-query log, attached to every :class:`~repro.system.ErbiumDB` at
 construction.  ``disable()`` turns the per-query tracing/slow-log machinery
 off (the facade ``QueryMetrics`` counters stay live — tests assert on
-them); the overhead of leaving it on is gated at ≤5% on prepared point
-reads by ``benchmarks/test_observability_overhead.py``.
+them).  It is on by default, and the ``erbench`` workloads run with it on,
+so its cost is inside every number they report.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ DEFAULT_SLOW_QUERY_SECONDS = 0.25
 
 #: Default query-trace sampling rate: fully trace 1 in N queries.  A full
 #: trace costs a few microseconds — material against a ~20µs point read —
-#: so sampling keeps the steady-state overhead inside the ≤5% gate while
+#: so sampling keeps the steady-state overhead to a few percent while
 #: histograms/summaries still see a deterministic, unbiased sample.  Slow
 #: queries bypass sampling (every one reaches the slow log); counters are
 #: exact regardless.  Set to 1 (``set_sampling(1)``) to trace everything.
@@ -114,7 +114,7 @@ class Observability:
 
         Counters (including the ``QueryMetrics`` facade) keep counting;
         existing trace/slow-log data is retained, not cleared.  The A/B
-        knob behind the overhead benchmark.
+        knob for measuring the instrumentation overhead.
         """
 
         self.enabled = False

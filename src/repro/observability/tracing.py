@@ -19,7 +19,7 @@ Hot-path discipline
 -------------------
 
 The prepared point-read path is ~20µs end to end and the observability
-overhead is gated at ≤5%, so the budget for the *per-query* cost here is
+overhead should stay within ~5%, so the budget for the *per-query* cost here is
 under a microsecond — less than three locked dict updates.  A full trace
 (record object, two histogram updates, summary fold) costs several µs, so
 queries are traced on a **deterministic 1-in-N sample**

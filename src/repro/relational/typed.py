@@ -43,8 +43,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ExecutionError
-
 __all__ = [
     "Splice",
     "TypedColumn",
@@ -373,41 +371,9 @@ class TypedColumn:
             encode = self._encode = {s: i for i, s in enumerate(self.dictionary)}
         return encode.get(value)
 
-    # -- numeric reductions (ColumnStore surface) ----------------------------
-
     @property
     def is_numeric(self) -> bool:
         return self.kind in ("int64", "float64", "bool")
-
-    def _valid_values(self) -> np.ndarray:
-        if self.validity is None:
-            return self.values
-        return self.values[self.validity]
-
-    def sum(self) -> Any:
-        if not self.is_numeric:
-            raise ExecutionError(f"sum() over non-numeric {self.kind} column")
-        total = self._valid_values().sum()
-        return int(total) if self.kind in ("int64", "bool") else float(total)
-
-    def min(self) -> Any:
-        values = self._valid_values()
-        if not len(values):
-            return None
-        value = values.min()
-        return value.item()
-
-    def max(self) -> Any:
-        values = self._valid_values()
-        if not len(values):
-            return None
-        value = values.max()
-        return value.item()
-
-    def to_numpy(self) -> np.ndarray:
-        """The raw values array (filler at NULL slots; see ``validity``)."""
-
-        return self.values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nulls = self.null_count()

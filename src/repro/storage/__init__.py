@@ -1,21 +1,14 @@
 """Alternative physical storage layouts.
 
 The paper (Section 4) argues the backend should support a *spectrum* of
-physical representations:
-
-* plain 1NF tables — provided by :mod:`repro.relational`;
-* columnar layouts for read-mostly analytics — :mod:`repro.storage.columnar`;
-* hierarchical/nested structures with a predefined schema (Parquet/Avro-like)
-  — :mod:`repro.storage.nested`;
-* multi-relational compressed (factorized) representations —
-  :mod:`repro.storage.factorized`.
-
-Each layout exposes a small scan/lookup API that the mapping layer and the
-benchmarks use directly.
+physical representations.  Plain 1NF tables, their typed columnar snapshots
+and the nested (M5) layout live in :mod:`repro.relational` and
+:mod:`repro.mapping`; this package holds the one layout the engine does not
+provide: a multi-relational compressed (factorized) representation —
+:mod:`repro.storage.factorized` — which the E8 ablation benchmark measures
+against the flat co-stored table.
 """
 
-from .columnar import ColumnStore
 from .factorized import FactorizedStore
-from .nested import NestedCollection
 
-__all__ = ["ColumnStore", "NestedCollection", "FactorizedStore"]
+__all__ = ["FactorizedStore"]

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro import ErbiumDB
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.harness import SyntheticBenchmarkSuite
 from repro.core import Attribute, EntitySet, ERSchema
 from repro.durability import has_database
 from repro.durability.snapshot import CheckpointStore
@@ -198,29 +197,6 @@ def test_corrupt_current_checkpoint_raises_recovery_error(tmp_path):
         handle.write(bytes([byte[0] ^ 0xFF]))
     with pytest.raises(RecoveryError):
         ErbiumDB.open(path)
-
-
-def test_bench_suite_persists_and_reopens(tmp_path):
-    """The harness satellite: load once, reopen from disk on later builds."""
-
-    persist = str(tmp_path / "suites")
-    first = SyntheticBenchmarkSuite(
-        scale=12, seed=3, mappings=("M1", "M5"), persist_dir=persist
-    )
-    assert first.reopened == {"M1": False, "M5": False}
-    query = "select r_id, r_mv1, r_mv2, r_mv3 from R"
-    expected = {
-        label: first.system(label).query(query).sorted_tuples() for label in ("M1", "M5")
-    }
-    second = SyntheticBenchmarkSuite(
-        scale=12, seed=3, mappings=("M1", "M5"), persist_dir=persist
-    )
-    assert second.reopened == {"M1": True, "M5": True}
-    for label in ("M1", "M5"):
-        assert second.system(label).query(query).sorted_tuples() == expected[label]
-    for suite in (first, second):
-        for system in suite.systems.values():
-            system.close(checkpoint=False)
 
 
 # --------------------------------------------------------------------------

@@ -248,12 +248,18 @@ def test_statement_wal_records_are_single_framed_batches(tmp_path):
     db.durability = DurabilityManager(str(tmp_path), fsync="off")
     db.delete("people", lambda row: row["city"] == "a")
     db.update("people", lambda row: True, {"city": "q"})
+    loaded = 2_000
+    db.insert_many(
+        "people", [{"id": 100 + i, "city": "z", "ref": None} for i in range(loaded)]
+    )
     db.durability.wal.sync()
     scan = scan_segments(str(tmp_path))
-    assert [len(txn) for txn in scan.transactions] == [1, 1]
-    delete_rec, update_rec = scan.transactions[0][0], scan.transactions[1][0]
+    assert [len(txn) for txn in scan.transactions] == [1, 1, 1]
+    delete_rec, update_rec, insert_rec = (txn[0] for txn in scan.transactions)
     assert delete_rec["t"] == "delete_batch" and len(delete_rec["row_ids"]) == 5
     assert update_rec["t"] == "update_batch" and len(update_rec["row_ids"]) == 5
+    assert insert_rec["t"] == "insert_batch"
+    assert insert_rec["columns"]["id"] == list(range(100, 100 + loaded))
 
 
 def test_partial_statement_failure_is_still_undoable():

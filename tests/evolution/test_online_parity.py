@@ -86,13 +86,49 @@ def _assert_query_parity(online_system, offline_triple, queries):
             assert got == want, (query, executor)
 
 
-def _reader(system, query, stop, errors):
-    while not stop.is_set():
+def _answer(system, query):
+    return frozenset(system.query(query).to_tuples())
+
+
+def _reader(system, query, stop, errors, answers):
+    """Read until ``stop`` (at least once), recording each distinct answer."""
+
+    while True:
         try:
-            system.query(query).rows
+            answers.add(_answer(system, query))
         except Exception as exc:  # pragma: no cover - fails the test below
             errors.append(exc)
             return
+        if stop.is_set():
+            return
+
+
+def _migrate_under_reader(system, query, **migrate_kwargs):
+    """``migrate_online`` beside a reader thread; asserts no torn read.
+
+    Every answer the reader saw must be the whole pre-migration answer or
+    the whole post-flip answer: a read that mixed a partial backfill with
+    the old layout, or half-swapped templates, would differ from both.
+    """
+
+    before = _answer(system, query)
+    stop = threading.Event()
+    errors: list = []
+    answers: set = set()
+    reader = threading.Thread(
+        target=_reader, args=(system, query, stop, errors, answers)
+    )
+    reader.start()
+    try:
+        report = system.migrate_online(**migrate_kwargs)
+    finally:
+        stop.set()
+        reader.join(timeout=60)
+    assert not reader.is_alive(), "the reader did not stop"
+    assert not errors, errors
+    assert answers, "the reader finished no read"
+    assert answers <= {before, _answer(system, query)}
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -142,18 +178,12 @@ def test_schema_change_online_matches_offline(label, make_change):
     online = build_university_system(students=14, instructors=3, courses=5)
     offline = build_university_system(students=14, instructors=3, courses=5)
 
-    stop = threading.Event()
-    errors: list = []
-    reader = threading.Thread(
-        target=_reader, args=(online, "select p.name from person p", stop, errors)
+    report = _migrate_under_reader(
+        online,
+        "select p.person_id, p.name.firstname, p.name.lastname from person p",
+        change=make_change(),
+        batch_size=5,
     )
-    reader.start()
-    try:
-        report = online.migrate_online(change=make_change(), batch_size=5)
-    finally:
-        stop.set()
-        reader.join()
-    assert not errors, errors
     assert report.reconcile is not None and report.reconcile.ok
 
     migrator = Migrator(offline.schema, offline.active_mapping(), offline.db)
@@ -180,6 +210,7 @@ REMAP_PAIRS = [
     ("M4", "M5"),
     ("M5", "M6"),
     ("M6", "M1"),
+    ("M1", "M6"),
 ]
 
 
@@ -197,18 +228,9 @@ def test_remap_online_matches_offline(source, target):
     offline = _synthetic_system(source)
     target_spec = synthetic_mappings(online.schema)[target]
 
-    stop = threading.Event()
-    errors: list = []
-    reader = threading.Thread(
-        target=_reader, args=(online, "select r.r_id, r.r_y from R r", stop, errors)
+    report = _migrate_under_reader(
+        online, "select r.r_id, r.r_y from R r", new_spec=target_spec, batch_size=4
     )
-    reader.start()
-    try:
-        report = online.migrate_online(new_spec=target_spec, batch_size=4)
-    finally:
-        stop.set()
-        reader.join()
-    assert not errors, errors
     assert report.reconcile is not None and report.reconcile.ok
     assert report.backfill_batches > 1  # small batch size forces real batching
 

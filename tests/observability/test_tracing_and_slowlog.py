@@ -12,7 +12,12 @@ import pytest
 
 from repro import ErbiumDB
 from repro.core import Attribute, EntitySet, ERSchema
-from repro.observability import PHASES, SlowQueryLog, TraceRecord
+from repro.observability import (
+    DEFAULT_TRACE_SAMPLE_EVERY,
+    PHASES,
+    SlowQueryLog,
+    TraceRecord,
+)
 
 
 def _system(name: str = "obs") -> ErbiumDB:
@@ -135,6 +140,11 @@ class TestQueryTracing:
 
 
 class TestSampling:
+    def test_fresh_system_is_enabled_and_sampled_by_default(self):
+        described = ErbiumDB("fresh").observability.describe()
+        assert described["enabled"] is True
+        assert described["sample_every"] == DEFAULT_TRACE_SAMPLE_EVERY
+
     def test_one_in_n_queries_is_traced(self):
         system = _system()
         obs = system.observability

@@ -89,6 +89,32 @@ class TestInsertManyParity:
         batched.insert_many("person", person_rows())
         assert_same_state(looped, batched, "person")
 
+    @pytest.mark.parametrize("width", (2, 4, 8))
+    def test_final_state_matches_row_loop_across_widths(self, width):
+        """Mixed TEXT/INT/FLOAT payloads, as wide as the bulk-load benchmark."""
+
+        payload_types = (TEXT, INT, FLOAT)
+
+        def make_db():
+            columns = [Column("id", INT, nullable=False)]
+            columns += [Column(f"p{i}", payload_types[i % 3]) for i in range(width - 1)]
+            db = Database(f"load-{width}")
+            db.create_table("t", columns, primary_key=["id"])
+            return db
+
+        def rows():
+            values = (lambda i: f"v{i}", lambda i: i % 97, lambda i: float(i))
+            return [
+                {"id": i, **{f"p{p}": values[p % 3](i) for p in range(width - 1)}}
+                for i in range(500)
+            ]
+
+        looped, batched = make_db(), make_db()
+        for row in rows():
+            looped.insert("t", row)
+        batched.insert_many("t", rows())
+        assert_same_state(looped, batched, "t")
+
     def test_snapshot_version_bumps_once_per_batch(self):
         db = build_db()
         table = db.table("person")

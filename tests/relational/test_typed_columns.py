@@ -21,7 +21,6 @@ from repro.relational.typed import (
     typed_columns_enabled,
 )
 from repro.relational.types import BOOL, FLOAT, INT, TEXT, Column
-from repro.storage import ColumnStore
 
 
 class TestTypedColumn:
@@ -42,8 +41,8 @@ class TestTypedColumn:
         column = TypedColumn.from_values([big, -(2**63), 2**53 + 1])
         assert column.kind == "int64"
         assert column.to_pylist() == [big, -(2**63), 2**53 + 1]
-        assert column.sum() == big - 2**63 + 2**53 + 1
-        assert isinstance(column.sum(), int)
+        assert all(type(v) is int for v in column.to_pylist())
+        assert column.null_count() == 0
 
     def test_beyond_int64_falls_back(self):
         assert TypedColumn.from_values([2**64, 1]) is None
@@ -71,7 +70,7 @@ class TestTypedColumn:
         bools = TypedColumn.from_values([True, False, None])
         assert bools.kind == "bool"
         assert bools.to_pylist() == [True, False, None]
-        assert bools.sum() == 1
+        assert bools.null_count() == 1
 
     def test_slice_take_and_padded_gather(self):
         column = TypedColumn.from_values([10, None, 30, 40])
@@ -89,11 +88,30 @@ class TestTypedColumn:
         assert combined.to_pylist() == ["x", "y", "y", None, "z"]
         assert combined.dictionary == ["x", "y", "z"]
 
-    def test_reductions_skip_nulls(self):
-        column = TypedColumn.from_values([3, None, 1, None, 2])
-        assert column.sum() == 6
-        assert column.min() == 1
-        assert column.max() == 3
+    def test_nulls_live_in_the_mask_not_the_dtype(self):
+        column = TypedColumn.from_values([3, None, 1, None, 2 + 2**53])
+        assert column.kind == "int64"
+        assert column.to_pylist() == [3, None, 1, None, 2 + 2**53]
+        assert column.null_count() == 2
+        all_null = TypedColumn.from_values([None, None], dtype=INT)
+        assert all_null.kind == "int64"
+        assert all_null.to_pylist() == [None, None]
+        assert all_null.null_count() == 2
+
+    @pytest.mark.parametrize(
+        "values, dtype, numeric",
+        [
+            ([1, None, 3], None, True),
+            ([1.5, None], None, True),
+            ([True, None], None, True),
+            (["a", None], None, False),
+            ([None, None], INT, True),  # all-NULL columns are numeric by vacuity
+        ],
+    )
+    def test_is_numeric_by_kind(self, values, dtype, numeric):
+        column = TypedColumn.from_values(values, dtype=dtype)
+        assert column.is_numeric is numeric
+        assert column.to_pylist() == values
 
     def test_disabled_scope_restores_flag(self):
         assert typed_columns_enabled()
@@ -142,39 +160,6 @@ class TestBatchValidation:
         window = batch.slice(2, 5)
         assert isinstance(window.data["id"], TypedColumn)
         assert window.column_list("id") == [2, 3, 4]
-
-
-class TestNumericColumnStore:
-    """PR 6 regression: NULL-hostile and precision-lossy numeric_column."""
-
-    def test_nulls_stay_numeric(self):
-        store = ColumnStore("s", ["a"])
-        store.extend([{"a": v} for v in [1, None, 3]])
-        column = store.numeric_column("a")
-        assert column.sum() == 4
-        assert column.null_count() == 1
-        assert column.to_pylist() == [1, None, 3]
-
-    def test_int64_precision_preserved(self):
-        big = 2**53 + 1  # corrupted by a float64 round-trip
-        store = ColumnStore("s", ["a"])
-        store.extend([{"a": big}, {"a": 1}])
-        column = store.numeric_column("a")
-        assert column.kind == "int64"
-        assert column.sum() == big + 1
-
-    def test_non_numeric_still_raises(self):
-        store = ColumnStore("s", ["a"])
-        store.extend([{"a": "text"}, {"a": "more"}])
-        with pytest.raises(ExecutionError):
-            store.numeric_column("a")
-
-    def test_all_null_column_is_numeric_by_vacuity(self):
-        store = ColumnStore("s", ["a"])
-        store.extend([{"a": None}, {"a": None}])
-        column = store.numeric_column("a")
-        assert column.null_count() == 2
-        assert column.min() is None and column.max() is None
 
 
 class TestCorrectnessSweepParity:

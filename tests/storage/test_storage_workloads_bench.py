@@ -1,86 +1,23 @@
-"""Tests for the alternative storage layouts, the data generators and the
-benchmark harness/experiment registry."""
+"""Tests for the factorized storage layout, the data generators and the
+experiment registry."""
 
 import pytest
 
-from repro.bench import EXPERIMENTS, all_experiments, evaluate_claim, format_table, get_suite, to_markdown
-from repro.bench.harness import SyntheticBenchmarkSuite, ratio
-from repro.errors import CatalogError, ExecutionError
-from repro.storage import ColumnStore, FactorizedStore, NestedCollection
-from repro.storage.nested import NestedField, NestedSchema
+from repro import ErbiumDB
+from repro.bench import (
+    EXPERIMENTS,
+    Experiment,
+    PaperClaim,
+    all_experiments,
+    evaluate_claim,
+    get_experiment,
+)
+from repro.bench.experiments import DEFAULT_REPEATS, DEFAULT_WARMUP
+from repro.errors import ExecutionError
+from repro.storage import FactorizedStore
 from repro.workloads import DataGenerator, GeneratorConfig
-from repro.workloads.synthetic import build_synthetic_schema, generate_synthetic_data
+from repro.workloads.synthetic import build_synthetic_schema, generate_synthetic_data, synthetic_mappings
 from repro.workloads.university import build_university_schema, generate_university_data
-
-
-class TestColumnStore:
-    def test_append_project_filter_take(self):
-        store = ColumnStore("t", ["a", "b"])
-        store.extend([{"a": i, "b": i * 2} for i in range(10)])
-        assert len(store) == 10
-        assert list(store.project(["b"]))[0] == {"b": 0}
-        indices = store.filter_indices("a", lambda v: v >= 8)
-        assert store.take(indices, ["a"]) == [{"a": 8}, {"a": 9}]
-        assert store.numeric_column("a").sum() == 45
-
-    def test_rejects_unknown_columns_and_non_numeric(self):
-        store = ColumnStore("t", ["a"])
-        with pytest.raises(CatalogError):
-            store.append({"zzz": 1})
-        store.append({"a": "text"})
-        with pytest.raises(ExecutionError):
-            store.numeric_column("a")
-        with pytest.raises(CatalogError):
-            ColumnStore("t", ["a", "a"])
-
-    def test_rebuild_and_from_rows(self):
-        store = ColumnStore.from_rows("t", [{"a": 1}, {"a": 2}])
-        store.rebuild([{"a": 5}])
-        assert list(store.scan()) == [{"a": 5}]
-
-
-class TestNestedCollection:
-    def _collection(self):
-        schema = NestedSchema(
-            "orders",
-            key="order_id",
-            fields=[
-                NestedField("customer"),
-                NestedField("items", kind="array_of_struct", children=[NestedField("sku"), NestedField("qty")]),
-            ],
-        )
-        return NestedCollection(schema)
-
-    def test_put_get_update_delete(self):
-        orders = self._collection()
-        orders.put({"order_id": 1, "customer": "a", "items": [{"sku": "x", "qty": 2}]})
-        assert orders.get(1)["customer"] == "a"
-        orders.update(1, {"customer": "b"})
-        orders.append_to_array(1, "items", {"sku": "y", "qty": 1})
-        assert len(orders.get(1)["items"]) == 2
-        assert orders.delete(1) and orders.get(1) is None
-        assert not orders.delete(1)
-
-    def test_validation_errors(self):
-        orders = self._collection()
-        with pytest.raises(ExecutionError):
-            orders.put({"customer": "a"})  # missing key
-        with pytest.raises(ExecutionError):
-            orders.put({"order_id": 1, "bogus": 2})
-        with pytest.raises(ExecutionError):
-            orders.update(99, {"customer": "x"})
-
-    def test_unnest_and_filter(self):
-        orders = self._collection()
-        orders.put_many(
-            [
-                {"order_id": 1, "customer": "a", "items": [{"sku": "x", "qty": 2}, {"sku": "y", "qty": 1}]},
-                {"order_id": 2, "customer": "b", "items": []},
-            ]
-        )
-        flattened = list(orders.unnest("items"))
-        assert len(flattened) == 2 and flattened[0]["items.sku"] == "x"
-        assert len(list(orders.filter(lambda d: d["customer"] == "b"))) == 1
 
 
 class TestFactorizedStore:
@@ -171,8 +108,6 @@ class TestWorkloadGenerators:
             validate_relationship_instance(schema, instance)
 
     def test_generic_generator_loads_into_system(self):
-        from repro import ErbiumDB
-
         schema = build_synthetic_schema()
         generator = DataGenerator(schema, GeneratorConfig(instances_per_entity=8, weak_per_owner=2, seed=2))
         entities, relationships = generator.generate()
@@ -191,22 +126,136 @@ class TestBenchHarness:
             assert experiment.claims and experiment.mappings
             assert experiment.query is not None or experiment.operation is not None
 
-    def test_suite_runs_and_reports(self):
-        suite = SyntheticBenchmarkSuite(scale=25, mappings=("M1", "M2"))
+    def test_run_and_evaluate_claim(self):
+        schema = build_synthetic_schema()
+        data = generate_synthetic_data(scale=25)
+        specs = synthetic_mappings(schema)
+        systems = {}
+        for label in ("M1", "M2"):
+            systems[label] = ErbiumDB(label, schema.clone(label))
+            systems[label].set_mapping(specs[label])
+            systems[label].load(data.entities, data.relationships)
         experiment = EXPERIMENTS["E1"]
-        results = experiment.run(suite, repeats=1)
+        results = experiment.run(systems)
         assert set(results) == {"M1", "M2"}
-        assert results["M1"].rows == results["M2"].rows == 25
+        assert all(seconds > 0 for seconds in results.values())
         outcome = evaluate_claim(experiment.claims[0], results, experiment)
+        # E1 claims M2 faster than M1: the factor is M1's best over M2's
         assert outcome.measured_factor == pytest.approx(
-            ratio(results["M1"], results["M2"]), rel=1e-9
+            results["M1"] / results["M2"], rel=1e-9
         )
-        table = format_table([outcome])
-        assert "E1" in table
-        markdown = to_markdown([outcome])
-        assert markdown.startswith("| Experiment |")
+        assert outcome.faster_seconds == results["M2"]
+        assert outcome.slower_seconds == results["M1"]
+        assert outcome.describe()["experiment"] == "E1"
 
-    def test_get_suite_caches(self):
-        first = get_suite(scale=25, mappings=("M1", "M2"))
-        second = get_suite(scale=25, mappings=("M1", "M2"))
-        assert first is second
+    def test_run_repeats_each_compared_mapping(self):
+        calls = []
+        experiment = Experiment(
+            id="X", title="counting", description="", query=None,
+            mappings=("M1", "M2"), operation=calls.append,
+        )
+        systems = {"M1": "m1", "M2": "m2", "M3": "m3"}
+        results = experiment.run(systems)
+        assert set(results) == {"M1", "M2"}
+        per_mapping = DEFAULT_WARMUP + DEFAULT_REPEATS
+        assert calls == ["m1"] * per_mapping + ["m2"] * per_mapping
+
+    def test_run_defaults_to_the_experiment_query(self):
+        class Recorder:
+            def __init__(self):
+                self.queries = []
+
+            def query(self, text):
+                self.queries.append(text)
+
+        experiment = Experiment(
+            id="X", title="query", description="", query="select r_id from R",
+            mappings=("M1",),
+        )
+        recorder = Recorder()
+        experiment.run({"M1": recorder})
+        assert recorder.queries == ["select r_id from R"] * (DEFAULT_WARMUP + DEFAULT_REPEATS)
+
+    def test_registry_lookup(self):
+        assert [e.id for e in all_experiments()] == sorted(EXPERIMENTS)
+        assert get_experiment("E5") is EXPERIMENTS["E5"]
+        with pytest.raises(KeyError):
+            get_experiment("E99")
+
+    def test_describe_rounds_measurements(self):
+        claim = PaperClaim("M2", "M1", 22.0, "paper")
+        assert claim.describe() == {
+            "faster": "M2", "slower": "M1", "reported_factor": 22.0, "paper_numbers": "paper",
+        }
+        outcome = evaluate_claim(claim, {"M1": 0.123456789, "M2": 0.041152263}, EXPERIMENTS["E1"])
+        described = outcome.describe()
+        assert described["measured_factor"] == 3.0
+        assert described["slower_seconds"] == 0.123457
+        assert described["faster_seconds"] == 0.041152
+        assert described["title"] == EXPERIMENTS["E1"].title
+
+    @pytest.mark.parametrize(
+        "factor, fast, slow, reproduced",
+        [
+            (2.0, 1.0, 3.0, True),   # claimed speedup observed
+            (2.0, 3.0, 1.0, False),  # claimed speedup reversed
+            (2.0, 1.0, 1.0, False),  # a tie is not a speedup
+            (2.0, 0.0, 1.0, True),   # an unmeasurably fast winner
+            (1.0, 1.0, 1.0, True),   # parity, exactly
+            (1.0, 1.0, 0.65, True),  # parity, at the lower tolerance bound
+            (1.0, 0.65, 1.0, True),  # parity, at the upper tolerance bound
+            (1.0, 1.0, 2.0, False),  # parity claim, one side twice as slow
+            (1.0, 2.0, 1.0, False),  # parity claim, one side twice as fast
+        ],
+    )
+    def test_evaluate_claim_direction(self, factor, fast, slow, reproduced):
+        claim = PaperClaim("M1", "M2", factor, "")
+        outcome = evaluate_claim(claim, {"M1": fast, "M2": slow}, EXPERIMENTS["E6"])
+        assert outcome.direction_reproduced is reproduced
+        expected = slow / fast if fast > 0 else float("inf")
+        assert outcome.measured_factor == expected
+
+
+def _canonical(value):
+    """Order-insensitive form of a query answer or a list of documents."""
+
+    if isinstance(value, dict):
+        return tuple(sorted((key, _canonical(v)) for key, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(sorted((_canonical(v) for v in value), key=repr))
+    if isinstance(value, float):
+        return round(value, 9)
+    return value
+
+
+@pytest.fixture(scope="module")
+def experiment_systems(synthetic_schema, synthetic_specs):
+    """Every mapping loaded at scale 140, the smallest that holds E3's r_id 137."""
+
+    data = generate_synthetic_data(scale=140, seed=42)
+    systems = {}
+    for label in ("M1", "M2", "M3", "M4", "M5", "M6"):
+        systems[label] = ErbiumDB(label, synthetic_schema.clone(label))
+        systems[label].set_mapping(synthetic_specs[label])
+        systems[label].load(data.entities, data.relationships)
+    return systems
+
+
+@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+def test_experiment_answers_agree_across_compared_mappings(experiment_systems, experiment_id):
+    """Each experiment times the same answer on every mapping it compares."""
+
+    experiment = EXPERIMENTS[experiment_id]
+    answers = {}
+    for label in experiment.mappings:
+        system = experiment_systems[label]
+        if experiment.operation is not None:
+            answer = experiment.operation(system)
+        else:
+            answer = system.query(experiment.query)
+        rows = answer.rows if hasattr(answer, "rows") else answer
+        answers[label] = _canonical(rows)
+    reference = experiment.mappings[0]
+    assert answers[reference], f"{experiment_id} returns nothing under {reference}"
+    for label, answer in answers.items():
+        assert answer == answers[reference], f"{experiment_id}: {label} differs from {reference}"
