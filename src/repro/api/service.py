@@ -395,7 +395,7 @@ class ApiService:
             raise ApiError(400, "limit must be at least 1", code="invalid_limit")
         return min(value, self.max_page_size)
 
-    def _sorted_entity_keys(self, entity: str, view) -> List[Any]:
+    def _sorted_entity_keys(self, entity: str, view, crud) -> List[Any]:
         """The entity's decorated-sorted key list, cached per data version.
 
         Walking a large listing page by page would otherwise re-fetch and
@@ -410,7 +410,7 @@ class ApiService:
         cached = self._sorted_keys_cache.get(entity)
         if cached is not None and cached[0] == token:
             return cached[1]
-        decorated = sort_keys(self.system.crud.entity_keys(entity))
+        decorated = sort_keys(crud.entity_keys(entity))
         self._sorted_keys_cache[entity] = (token, decorated)
         return decorated
 
@@ -436,13 +436,14 @@ class ApiService:
         self._check(principal, "read", entity)
         limit = self._parse_limit(body)
         cursor = self._parse_cursor(body)
-        crud = self.system.crud
+        layout = self.system._layout
+        crud = layout.templates()
         items = []
-        with self._reader.read_scope() as view:
+        with self._reader.read_scope(layout) as view:
             # one snapshot covers the key listing and every item fetch, so a
             # page can never mix rows from two different commit points
             page, next_cursor, total = paginate_sorted(
-                self._sorted_entity_keys(entity, view), limit, cursor
+                self._sorted_entity_keys(entity, view, crud), limit, cursor
             )
             for key in page:
                 instance = crud.get_entity(entity, key)
@@ -468,8 +469,9 @@ class ApiService:
         key = parse_key(params["key"])
         self._require_entity(entity)
         self._check(principal, "read", entity)
-        with self._reader.read_scope():
-            instance = self.system.crud.get_entity(entity, key)
+        layout = self.system._layout
+        with self._reader.read_scope(layout):
+            instance = layout.templates().get_entity(entity, key)
         if instance is None:
             raise ApiError(404, f"no instance of {entity!r} with key {key}")
         values = instance.values
@@ -530,8 +532,9 @@ class ApiService:
         self._require_relationship(relationship)
         limit = self._parse_limit(body)
         cursor = self._parse_cursor(body)
-        with self._reader.read_scope():
-            related = self.system._require_crud().related_keys(relationship, entity, key)
+        layout = self.system._layout
+        with self._reader.read_scope(layout):
+            related = layout.templates().related_keys(relationship, entity, key)
         page, next_cursor, total = paginate_keys(related, limit, cursor)
         return Response(
             200,
@@ -587,41 +590,15 @@ class ApiService:
             bindings = {}
         if not isinstance(bindings, dict):
             raise ApiError(422, "'params' must be an object of name -> value")
-        obs = self.system.observability
-        tracer = obs.tracer if obs.enabled else None
-        trace = tracer.start_query() if tracer is not None else None
-        if trace is not None:
-            trace.detail = text
-        started = time.perf_counter() if tracer is not None and trace is None else 0.0
-        try:
-            compiled = self.system._compile(text)
-            if trace is not None:
-                trace.detail = compiled.normalized_text
-                trace.param_names = tuple(sorted(compiled.parameters))
+
+        def authorize(compiled) -> None:
             for entity in compiled.entities:
                 self._check(principal, "read", entity)
             self._check_attribute_visibility(principal, compiled.attribute_refs)
-            # statement-level snapshot: the query reads one consistent version
-            # of the store and runs in parallel with any committing writer
-            with self._reader.read_scope():
-                result = self.system._execute_compiled(compiled, bindings, trace=trace)
-        except BaseException as exc:
-            if trace is not None:
-                tracer.finish(trace, error=exc)
-            raise
-        if trace is not None:
-            trace.rows = len(result)
-            tracer.finish(trace)
-        elif tracer is not None:
-            # unsampled: slow outliers still reach the slow log
-            elapsed = time.perf_counter() - started
-            if elapsed >= obs.slowlog.threshold_seconds:
-                tracer.record_slow(
-                    compiled.normalized_text,
-                    tuple(sorted(compiled.parameters)),
-                    elapsed,
-                    rows=len(result),
-                )
+
+        # statement-level snapshot: the query reads one consistent version of
+        # the store and runs in parallel with any committing writer
+        result = self._reader._query(text, bindings, authorize=authorize)
         return Response(
             200,
             {"columns": result.columns, "rows": [dict(r) for r in result.rows], "count": len(result)},

@@ -276,9 +276,10 @@ def capture_state(system: "ErbiumDB", lsn: int) -> Dict[str, Any]:
     mutates tables while a background writer encodes it.
     """
 
-    if system.mapping is None or system._mapping_spec is None:
+    layout = system._layout
+    if layout.mapping is None or layout.spec is None:
         raise DurabilityError("cannot checkpoint before a mapping is installed")
-    db = system.db
+    db = layout.db
     tables: Dict[str, Any] = {}
     table_lsns: Dict[str, int] = {}
     for table in db.catalog.tables():
@@ -291,9 +292,9 @@ def capture_state(system: "ErbiumDB", lsn: int) -> Dict[str, Any]:
         "format": CHECKPOINT_FORMAT,
         "name": system.name,
         "lsn": lsn,
-        "schema": schema_to_dict(system.schema),
-        "mapping_spec": spec_to_dict(system._mapping_spec),
-        "mapping_name": system.mapping.name,
+        "schema": schema_to_dict(layout.schema),
+        "mapping_spec": spec_to_dict(layout.spec),
+        "mapping_name": layout.mapping.name,
         "tables": tables,
         "table_lsns": table_lsns,
         "metadata": metadata,

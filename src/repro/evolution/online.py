@@ -23,18 +23,20 @@ it rebuilds a fresh database while nothing else runs.  The
    changelog is drained, the changelog is closed (a straggler writer that
    captured the pre-flip templates gets
    :class:`~repro.errors.SerializationError` and retries against the new
-   layout), ``migration_flip`` is logged, the system's schema / database /
-   mapping / planner are swapped, and a synchronous checkpoint extends the
-   DDL barrier of ``set_mapping``: its ``CURRENT`` rename is the migration's
-   durable commit point.
+   layout), ``migration_flip`` is logged, the new layout (schema, spec,
+   mapping, database, templates, planner) is built and published in one
+   assignment, and a synchronous checkpoint extends the DDL barrier of
+   ``set_mapping``: its ``CURRENT`` rename is the migration's durable
+   commit point.
 
 Crash semantics are rollback-by-default: recovery before the flip
 checkpoint's rename lands on exactly the old layout (the lifecycle records
 replay as no-ops and the shadow never touched the log); after it, on exactly
-the new one.  If the flip checkpoint *fails*, the swap is reverted in memory
-and commits are fenced until a covering checkpoint publishes — whichever
-layout a subsequent crash recovers, its logical content is the flip-time
-content, so the "never a torn layout" property holds unconditionally.
+the new one.  If the flip checkpoint *fails*, the old layout object is
+published again and commits are fenced until a covering checkpoint
+publishes — whichever layout a subsequent crash recovers, its logical
+content is the flip-time content, so the "never a torn layout" property
+holds unconditionally.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ class OnlineMigrator:
 
     def run(self) -> OnlineMigrationReport:
         system = self.system
-        if system.mapping is None or system.crud is None:
+        if system.mapping is None:
             raise MigrationError("no mapping installed; call set_mapping() first")
         registry = system.observability.registry
         registry.counter("migration.runs").inc()
@@ -282,18 +284,13 @@ class OnlineMigrator:
 
     def _prepare_target(self) -> None:
         system = self.system
-        self.old_schema = system.schema
-        self.old_db = system.db
-        self.old_mapping = system.mapping
-        self.old_spec = system._mapping_spec
-        self.old_crud = system.crud
-        self.old_planner = system._planner
+        self.old = system._layout
 
         target_schema = self.new_schema
         if self.change is not None:
-            target_schema = self.change.apply_to_schema(self.old_schema)
+            target_schema = self.change.apply_to_schema(self.old.schema)
         if target_schema is None:
-            target_schema = self.old_schema.clone()
+            target_schema = self.old.schema.clone()
         spec = self.new_spec if self.new_spec is not None else fully_normalized_spec(target_schema)
         new_mapping = compile_mapping(target_schema, spec)
         check_mapping(target_schema, new_mapping).raise_if_invalid()
@@ -302,7 +299,7 @@ class OnlineMigrator:
         self.new_mapping = new_mapping
         self.report.mapping_name = new_mapping.name
 
-        shadow = Database(name=f"{self.old_db.name}_v{system._mapping_version + 1}")
+        shadow = Database(name=f"{system.name}_{new_mapping.name}")
         new_mapping.install(shadow)
         self.shadow_db = shadow
         self.shadow_crud = CrudTemplates(target_schema, new_mapping, shadow)
@@ -318,9 +315,9 @@ class OnlineMigrator:
 
         self._phase_gauge.set(PHASES["begin"])
         system = self.system
-        with self.old_db.write_lock:
-            self.view = self.old_db.begin_read_view()
-            self.old_crud.changelog = self.changelog
+        with self.old.db.write_lock:
+            self.view = self.old.db.begin_read_view()
+            self.old.crud.changelog = self.changelog
             if system.durability is not None:
                 from ..durability.snapshot import spec_to_dict
 
@@ -334,7 +331,7 @@ class OnlineMigrator:
                 try:
                     system.durability.log_migration(record)
                 except BaseException:
-                    self.old_crud.changelog = None
+                    self.old.crud.changelog = None
                     self.view.close()
                     raise
 
@@ -349,7 +346,7 @@ class OnlineMigrator:
     def _backfill(self) -> None:
         self._phase_gauge.set(PHASES["backfill"])
         with read_view_scope(self.view):
-            entity_items, relationship_items = _instance_walk(self.old_schema, self.old_crud)
+            entity_items, relationship_items = _instance_walk(self.old.schema, self.old.crud)
         total = max(len(entity_items) + len(relationship_items), 1)
         done = 0
 
@@ -358,10 +355,10 @@ class OnlineMigrator:
                 instances = [
                     inst
                     for name, key in batch
-                    if (inst := self.old_crud.get_entity(name, key)) is not None
+                    if (inst := self.old.crud.get_entity(name, key)) is not None
                 ]
             instances, _ = _transform_for_change(
-                self.old_schema, self.change, instances, [], self._transform_report
+                self.old.schema, self.change, instances, [], self._transform_report
             )
             if self.transform is not None:
                 instances = [self.transform(i) for i in instances]
@@ -375,7 +372,7 @@ class OnlineMigrator:
 
         for batch in _batched(relationship_items, self.batch_size):
             _, kept = _transform_for_change(
-                self.old_schema, self.change, [], list(batch), self._transform_report
+                self.old.schema, self.change, [], list(batch), self._transform_report
             )
             kept = [
                 r for r in kept if self.target_schema.has_relationship(r.relationship_set)
@@ -400,7 +397,7 @@ class OnlineMigrator:
         crud, schema = self.shadow_crud, self.target_schema
         if op == "insert_entity":
             instances, _ = _transform_for_change(
-                self.old_schema, self.change, [args], [], self._transform_report
+                self.old.schema, self.change, [args], [], self._transform_report
             )
             instance = instances[0]
             if self.transform is not None:
@@ -409,7 +406,7 @@ class OnlineMigrator:
         elif op == "update_entity":
             entity, key, changes = args
             changes = _transform_update_changes(
-                self.old_schema, self.change, entity, changes
+                self.old.schema, self.change, entity, changes
             )
             if changes:
                 crud.update_entity(entity, key, changes)
@@ -446,7 +443,7 @@ class OnlineMigrator:
 
         self._phase_gauge.set(PHASES["drain"])
         for _ in range(MAX_CATCHUP_ROUNDS):
-            with self.old_db.write_lock:
+            with self.old.db.write_lock:
                 entries = self.changelog.drain()
             if not entries:
                 return
@@ -458,7 +455,7 @@ class OnlineMigrator:
         system = self.system
         manager = system.durability
         self._phase_gauge.set(PHASES["flip"])
-        with self.old_db.write_lock, self.shadow_db.write_lock:
+        with self.old.db.write_lock, self.shadow_db.write_lock:
             entries = self.changelog.close()
             if entries:
                 self._apply_entries(entries)
@@ -468,7 +465,7 @@ class OnlineMigrator:
                 self.report.flip_lsn = manager.log_migration(
                     {"t": "migration_flip", "mapping": self.new_mapping.name}
                 )
-            self._swap_in(self.shadow_db)
+            self._swap_in()
             if manager is not None:
                 try:
                     self.report.checkpoint = manager.checkpoint()
@@ -499,47 +496,35 @@ class OnlineMigrator:
                     ) from exc
             self.view.close()
 
-    def _swap_in(self, shadow: Database) -> None:
-        from ..erql import Planner
-
+    def _swap_in(self) -> None:
         system = self.system
+        shadow = self.shadow_db
         shadow.observability = system.observability
         shadow.statistics.restore_state(
-            self.old_db.statistics.export_state(), db=shadow
+            self.old.db.statistics.export_state(), db=shadow
         )
-        system.schema = self.target_schema
-        system.db = shadow
-        system.mapping = self.new_mapping
-        system._mapping_spec = self.spec
-        system.crud = self.shadow_crud
-        system._planner = Planner(self.target_schema, self.new_mapping, shadow)
-        system.invalidate_plans()
+        layout = system._layout_for(self.target_schema, self.spec, self.new_mapping, shadow)
         if system.durability is not None:
             shadow.durability = system.durability
-            self.old_db.durability = None
+            self.old.db.durability = None
+        system._publish(layout)
 
     def _revert_swap(self) -> None:
         system = self.system
-        system.schema = self.old_schema
-        system.db = self.old_db
-        system.mapping = self.old_mapping
-        system._mapping_spec = self.old_spec
-        system.crud = self.old_crud
-        system._planner = self.old_planner
-        system.invalidate_plans()
         if system.durability is not None:
-            self.old_db.durability = system.durability
+            self.old.db.durability = system.durability
             self.shadow_db.durability = None
+        system._publish(self.old)
         # the closed changelog would make every retried write fail forever;
         # the old templates are live again, so detach it
-        self.old_crud.changelog = None
+        self.old.crud.changelog = None
 
     def _abort(self, reason: str) -> None:
         """Tear down a failed migration, leaving the old layout serving."""
 
         system = self.system
-        with self.old_db.write_lock:
-            self.old_crud.changelog = None
+        with self.old.db.write_lock:
+            self.old.crud.changelog = None
             try:
                 self.view.close()
             except Exception:

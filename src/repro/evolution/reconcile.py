@@ -117,10 +117,11 @@ def _type_name(dtype: Any) -> str:
 def reconcile(system: "ErbiumDB") -> ReconcileReport:
     """Diff the live catalog against the recompiled mapping spec."""
 
-    if system.mapping is None or system._mapping_spec is None:
+    layout = system._layout
+    if layout.mapping is None or layout.spec is None:
         raise EvolutionError("no mapping installed; nothing to reconcile")
-    expected = compile_mapping(system.schema, system._mapping_spec)
-    db = system.db
+    expected = compile_mapping(layout.schema, layout.spec)
+    db = layout.db
     report = ReconcileReport(mapping_name=expected.name)
 
     for table_name in expected.table_names():

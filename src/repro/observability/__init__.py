@@ -22,9 +22,9 @@ could not:
 :class:`Observability` is the per-system hub: one registry + tracer +
 slow-query log, attached to every :class:`~repro.system.ErbiumDB` at
 construction.  ``disable()`` turns the per-query tracing/slow-log machinery
-off (the facade ``QueryMetrics`` counters stay live — tests assert on
-them).  It is on by default, and the ``erbench`` workloads run with it on,
-so its cost is inside every number they report.
+off (the ``QueryMetrics`` counters stay live — tests assert on them).
+It is on by default, and the ``erbench`` workloads run with it on, so its
+cost is inside every number they report.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class Observability:
     engine (``Database.observability``), the durability manager and the API
     service.  ``enabled`` gates the per-query tracing and slow-log paths;
     the :class:`MetricsRegistry` itself is always live (counters are cheap
-    and the ``QueryMetrics`` facade routes through it unconditionally).
+    and the ``QueryMetrics`` counters live in it unconditionally).
     """
 
     def __init__(
@@ -112,7 +112,7 @@ class Observability:
     def disable(self) -> None:
         """Turn per-query tracing and the slow-query log off.
 
-        Counters (including the ``QueryMetrics`` facade) keep counting;
+        Counters (``QueryMetrics`` included) keep counting;
         existing trace/slow-log data is retained, not cleared.  The A/B
         knob for measuring the instrumentation overhead.
         """

@@ -65,11 +65,12 @@ def build_bundle(system: "ErbiumDB") -> Dict[str, Any]:
 
 def _config(system: "ErbiumDB") -> Dict[str, Any]:
     durability = system.durability
+    layout = system._layout
     return {
         "name": system.name,
-        "schema": system.schema.name,
-        "mapping": system.mapping.name if system.mapping is not None else None,
-        "executor": system.db.executor,
+        "schema": layout.schema.name,
+        "mapping": layout.mapping.name if layout.mapping is not None else None,
+        "executor": layout.db.executor,
         "plan_cache_size": system._plan_cache_size,
         "observability": system.observability.describe(),
         "durability_path": durability.path if durability is not None else None,
@@ -91,13 +92,14 @@ def _health(system: "ErbiumDB") -> Dict[str, Any]:
 def _plan_cache(system: "ErbiumDB") -> Dict[str, Any]:
     with system._cache_lock:
         size = len(system._plan_cache)
-        version = system._mapping_version
+        version = system._layout.version
+    counts = system.metrics.snapshot()
     return {
         "size": size,
         "capacity": system._plan_cache_size,
         "mapping_version": version,
-        "hits": system.metrics.cache_hits,
-        "evictions": system.metrics.evictions,
+        "hits": counts["cache_hits"],
+        "evictions": counts["evictions"],
     }
 
 

@@ -350,7 +350,7 @@ class ReadView:
         self._closed = False
         #: The database's publication epoch at pin time.  Sessions compare it
         #: against the live epoch to reuse one view across many statements
-        #: while no writer has published anything new (see Session.read_scope).
+        #: while no writer has published anything new (see Session._statement_view).
         self.epoch = epoch
 
     @property

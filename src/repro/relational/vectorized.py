@@ -363,6 +363,21 @@ def _and_validity(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[
     return a & b
 
 
+#: Beyond this magnitude not every int is a float64, so numpy's int/float
+#: promotion can round one side of a comparison that Python makes exactly.
+_FLOAT_EXACT_INT = 2**53
+
+
+def _rounds(scalar: Any, array: Any) -> bool:
+    """Whether comparing ``scalar`` with ``array`` would round through float64."""
+
+    if isinstance(scalar, bool) or not isinstance(array, np.ndarray):
+        return False
+    if isinstance(scalar, int):
+        return array.dtype == np.float64 and abs(scalar) > _FLOAT_EXACT_INT
+    return array.dtype == np.int64 and abs(scalar) >= _FLOAT_EXACT_INT
+
+
 def _result_kind(values: np.ndarray) -> Optional[str]:
     if values.dtype == np.bool_:
         return "bool"
@@ -424,6 +439,8 @@ def _numeric_binop(
 
     try:
         if op_name in _COMPARE_OPS:
+            if (r_is_scalar and _rounds(b, a)) or (l_is_scalar and _rounds(a, b)):
+                return None
             values = _NUMPY_COMPARE[op_name](a, b)
             if not isinstance(values, np.ndarray) or values.dtype != np.bool_:
                 return None
@@ -507,13 +524,30 @@ def _isin_kernel(column: TypedColumn, members: set) -> Optional[TypedColumn]:
     if column.is_numeric:
         if not all(isinstance(m, _SCALAR_KINDS) for m in members):
             return None
-        try:
-            needles = np.asarray(sorted(float(m) for m in members), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        values = np.isin(column.values, needles)
+        values = np.isin(column.values, _exact_needles(column.values.dtype, members))
         return TypedColumn("bool", values, column.validity)
     return None
+
+
+def _exact_needles(dtype: np.dtype, members: set) -> np.ndarray:
+    """The members some value of ``dtype`` equals, converted without rounding.
+
+    Python's ``==`` between an int and a float is exact, so an int64 column
+    is probed with int64 needles and a float one with floats; a member no
+    value of the column's type can equal is dropped.
+    """
+
+    if dtype == np.int64:
+        ints = (int(m) for m in members if not isinstance(m, float) or m.is_integer())
+        return np.asarray([m for m in ints if -(2**63) <= m < 2**63], dtype=np.int64)
+    floats = []
+    for m in members:
+        try:
+            if float(m) == m:
+                floats.append(float(m))
+        except OverflowError:
+            pass
+    return np.asarray(floats, dtype=np.float64)
 
 
 def _group_marker(value: Any) -> Any:

@@ -42,17 +42,18 @@ from time import perf_counter as _perf_counter  # bound once: hot-path clock
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import EntityInstance, RelationshipInstance
 from .errors import BindError, SerializationError, TransactionError
-from .relational import QueryResult
+from .relational import Database, QueryResult
 from .relational.mvcc import ReadView, read_view_scope
 from .relational.plan import PlanNode
 from .reliability.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .system import ErbiumDB
+    from .mapping import CrudTemplates
+    from .system import ErbiumDB, Layout
 
 #: Isolation levels accepted by :class:`Session`.
 ISOLATION_LEVELS = ("live", "snapshot")
@@ -66,9 +67,9 @@ class CompiledQuery:
     order) to the type the analyzer slotted for it (or ``None``).
     ``entities`` / ``attribute_refs`` record which entity sets and which
     (entity, attribute) pairs the statement reads — the API layer's
-    access-control checks consume them.  ``mapping_version`` records which
-    mapping the plan was compiled under, so holders (prepared statements)
-    can detect staleness after evolution.
+    access-control checks consume them.  ``mapping_version`` is the version
+    of the layout the plan was compiled for, so holders (prepared
+    statements) can detect staleness after evolution.
     """
 
     text: str
@@ -199,11 +200,11 @@ class PreparedStatement:
 
         return dict(self._compiled.parameters)
 
-    def _current(self) -> CompiledQuery:
-        system = self._session.system
-        if self._compiled.mapping_version != system._mapping_version:
-            self._compiled = system._compile(self._compiled.text)
-        return self._compiled
+    def _current(self, layout: "Layout") -> CompiledQuery:
+        compiled = self._compiled
+        if compiled.mapping_version != layout.version:
+            compiled = self._compiled = self._session.system._compile(compiled.text, layout)
+        return compiled
 
     def execute(
         self,
@@ -228,16 +229,12 @@ class PreparedStatement:
                 + ", ".join(f"${n}" for n in overlap)
             )
         merged.update(bindings)
-        compiled = self._current()
-        system = self._session.system
-        obs = system.observability
-        if not obs.enabled:
-            with self._session.read_scope():
-                return Result(
-                    system._execute_compiled(compiled, merged, executor=executor)
-                )
-        tracer = obs.tracer
-        trace = tracer.start_query()
+        session = self._session
+        layout = session.system._layout
+        compiled = self._current(layout)
+        obs = session.system.observability
+        tracer = obs.tracer if obs.enabled else None
+        trace = tracer.start_query() if tracer is not None else None
         if trace is None:
             # unsampled fast path: the sampling tick above is the *only*
             # instrumentation cost — no clock reads.  Prepared hot loops are
@@ -245,21 +242,13 @@ class PreparedStatement:
             # slow prepared statement is caught by the 1-in-N sampler, and
             # ad-hoc slow queries come through Session.query / the API
             # (which wall-clock every call).
-            with self._session.read_scope():
-                return Result(
-                    system._execute_compiled(compiled, merged, executor=executor)
-                )
+            return Result(session._run(compiled, layout, merged, executor))
         # sampled path: explicit start/finish (no generator context manager),
         # traced under the normalized text with bindings redacted to names
         trace.detail = compiled.normalized_text
         trace.param_names = tuple(sorted(compiled.parameters))
         try:
-            with self._session.read_scope():
-                result = Result(
-                    system._execute_compiled(
-                        compiled, merged, executor=executor, trace=trace
-                    )
-                )
+            result = Result(session._run(compiled, layout, merged, executor, trace))
         except BaseException as exc:
             tracer.finish(trace, error=exc)
             raise
@@ -268,8 +257,8 @@ class PreparedStatement:
         return result
 
     def explain(self) -> str:
-        compiled = self._current()
-        return self._session.system.db.explain(compiled.plan)
+        layout = self._session.system._layout
+        return layout.db.explain(self._current(layout).plan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ", ".join(f"${n}" for n in self._compiled.parameters)
@@ -334,10 +323,10 @@ class Session:
         self.autocommit = autocommit
         self.isolation = isolation
         self._owns_transaction = False
-        # The database the open transaction began on: an online migration's
-        # flip replaces ``system.db``, and the transaction lives (and must be
+        # The layout the open transaction began on: an online migration's
+        # flip publishes a new one, and the transaction lives (and must be
         # committed or rolled back) where it started.
-        self._db = system.db
+        self._layout: Optional["Layout"] = None
         self._view: Optional[ReadView] = None
         self._writing = False
         # Statement-level view cache, one slot per thread (the API service
@@ -361,58 +350,59 @@ class Session:
             return False
         if self._view is not None:
             return True  # read-only snapshot transaction (no engine txn yet)
-        return self._db.transactions.in_transaction()
+        return self._layout.db.transactions.in_transaction()
 
     def begin(self) -> "Session":
         if self.autocommit:
             raise TransactionError("autocommit sessions cannot open explicit transactions")
         if self._owns_transaction:
             raise TransactionError("this session already has an open transaction")
-        self._db = self.system.db
+        self._layout = layout = self.system._layout
         if self.isolation == "snapshot":
             # Pin the read view only: snapshot transactions stay pure readers
             # (no writer lock, no engine transaction) until their first write.
-            self._view = self._db.begin_read_view()
+            self._view = layout.db.begin_read_view()
         else:
-            self._db.transactions.begin()
+            layout.db.transactions.begin()
         self._owns_transaction = True
         self._writing = False
         return self
 
-    def _ensure_writable(self) -> None:
-        """Upgrade an open snapshot transaction to a writer before its first write.
+    def _writer(self) -> "CrudTemplates":
+        """The templates one write runs on, after readying the transaction.
 
-        Acquires the writer lock (blocking while another write transaction is
-        open), opens the engine transaction with the pinned view's watermarks
-        (enabling first-committer-wins conflict detection) and releases the
-        view — from here on the transaction reads the live store, its own
-        writes included.  Live sessions and autocommit statements need no
-        upgrade: their locking is handled by the transaction manager and the
-        engine's per-statement locks.
+        An open snapshot transaction is upgraded to a writer before its first
+        write: acquire the writer lock (blocking while another write
+        transaction is open), open the engine transaction with the pinned
+        view's watermarks (enabling first-committer-wins conflict detection)
+        and release the view — from here on the transaction reads the live
+        store, its own writes included.  Live sessions and autocommit
+        statements need no upgrade: their locking is handled by the
+        transaction manager and the engine's per-statement locks.
         """
 
-        self._check_not_flipped()
-        if not (self._owns_transaction and self.isolation == "snapshot"):
-            return
-        if self._writing:
-            return
-        view = self._view
-        assert view is not None
-        self._db.transactions.begin(snapshot_watermarks=view.watermarks())
-        self._writing = True
-        self._view = None
-        view.close()
+        layout = self.system._layout
+        self._check_not_flipped(layout)
+        if self._owns_transaction and self.isolation == "snapshot" and not self._writing:
+            view = self._view
+            assert view is not None
+            layout.db.transactions.begin(snapshot_watermarks=view.watermarks())
+            self._writing = True
+            self._view = None
+            view.close()
+        return layout.templates()
 
-    def _check_not_flipped(self) -> None:
-        """Abort an open transaction that an online migration's flip overtook.
+    def _check_not_flipped(self, layout: "Layout") -> None:
+        """Abort an open transaction when a statement's layout is not its own.
 
-        Its reads and writes belong to the old layout, which no longer
-        serves: roll it back there and raise the retryable
+        A flip published ``layout`` after the transaction began: its reads
+        and writes belong to the old layout, which no longer serves.  Roll
+        it back there and raise the retryable
         :class:`~repro.errors.SerializationError`, so :meth:`run` re-executes
         the closure against the new layout.
         """
 
-        if self._owns_transaction and self.system.db is not self._db:
+        if self._owns_transaction and layout is not self._layout:
             self.rollback()
             raise SerializationError(
                 "an online schema migration flipped during this transaction; "
@@ -432,7 +422,7 @@ class Session:
 
         if not self._owns_transaction:
             raise TransactionError("this session has no open transaction to commit")
-        self._check_not_flipped()
+        self._check_not_flipped(self.system._layout)
         if self._view is not None:
             # read-only snapshot transaction: nothing to write, release the view
             view, self._view = self._view, None
@@ -442,10 +432,11 @@ class Session:
         # commit may fail at the WAL append (disk error) and leave the
         # transaction active so it can still be rolled back — release this
         # session's ownership only once the commit actually happened
-        self._db.transactions.commit()
+        db = self._layout.db
+        db.transactions.commit()
         self._owns_transaction = False
         self._writing = False
-        durability = self._db.durability
+        durability = db.durability
         if sync and durability is not None:
             durability.sync()
 
@@ -460,7 +451,7 @@ class Session:
         # release ownership only once the rollback actually completed: if an
         # undo callback fails, the engine transaction (and the writer lock it
         # holds) stays reachable through this session for a retry
-        self._db.transactions.rollback()
+        self._layout.db.transactions.rollback()
         self._owns_transaction = False
         self._writing = False
 
@@ -540,54 +531,82 @@ class Session:
     # -- read scope ----------------------------------------------------------
 
     @contextmanager
-    def read_scope(self) -> Iterator[Optional[ReadView]]:
-        """Bind the appropriate read view for one read operation.
+    def read_scope(self, layout: Optional["Layout"] = None) -> Iterator[Optional[ReadView]]:
+        """Bind :meth:`_read_view`'s view for one read on ``layout`` (default: active)."""
 
-        * live sessions: no view — reads see live storage (yields ``None``);
-        * snapshot transaction, before any write: the transaction's pinned
-          view;
-        * snapshot transaction, after its first write: live reads (the
-          transaction must see its own writes; it holds the writer lock, so
-          live state is stable apart from those writes);
-        * snapshot session outside a transaction: a fresh statement-level
-          view, pinned for the duration of this operation and released after.
-
-        Every read entry point of the session — ERQL queries, prepared
-        executions, entity reads — runs under this scope; the engine's
-        :meth:`~repro.relational.engine.Database.read_table` resolves scans
-        through whatever view it binds.
-        """
-
-        self._check_not_flipped()
-        if self.isolation != "snapshot" or self._writing:
+        view = self._read_view(layout)
+        if view is None:
             yield None
             return
-        if self._view is not None:
-            with read_view_scope(self._view):
-                yield self._view
-            return
-        view = self._statement_view()
         with read_view_scope(view):
             yield view
 
-    def _statement_view(self) -> ReadView:
-        """This thread's cached statement-level view, refreshed on publication.
+    def _read_view(self, layout: Optional["Layout"]) -> Optional[ReadView]:
+        """The view one read on ``layout`` (default: the active one) must see.
 
-        The staleness probe is one unlocked integer comparison; only when a
-        writer has actually published something new does the session pin a
-        fresh view (and release the old one).  A probe racing a concurrent
+        * live sessions: none — reads see live storage;
+        * snapshot transaction, before any write: the transaction's pinned
+          view;
+        * snapshot transaction, after its first write: none — the
+          transaction must see its own writes; it holds the writer lock, so
+          live state is stable apart from those writes;
+        * snapshot session outside a transaction: this thread's
+          statement-level view of ``layout.db``.
+
+        ``layout`` is the one the statement captured; an open transaction
+        that began on another layout is rolled back first.  Every read entry
+        point of the session — ERQL queries, prepared executions, entity
+        reads — runs under this view; the engine's
+        :meth:`~repro.relational.engine.Database.read_table` resolves scans
+        through it.
+        """
+
+        if layout is None:
+            layout = self.system._layout
+        self._check_not_flipped(layout)
+        if self.isolation != "snapshot" or self._writing:
+            return None
+        if self._view is not None:
+            return self._view
+        return self._statement_view(layout.db)
+
+    def _run(
+        self,
+        compiled: CompiledQuery,
+        layout: "Layout",
+        params: Optional[Dict[str, Any]],
+        executor: Optional[str] = None,
+        trace=None,
+    ) -> QueryResult:
+        """Execute a plan compiled for ``layout`` under this session's view of it."""
+
+        view = self._read_view(layout)
+        execute = self.system._execute_compiled
+        if view is None:
+            return execute(compiled, layout, params, executor, trace)
+        with read_view_scope(view):
+            return execute(compiled, layout, params, executor, trace)
+
+    def _statement_view(self, db: Database) -> ReadView:
+        """This thread's cached statement-level view of ``db``, refreshed on publication.
+
+        The staleness probe is an identity check (a flip replaces the
+        database) plus one unlocked integer comparison; only when a writer
+        has actually published something new does the session pin a fresh
+        view (and release the old one).  A probe racing a concurrent
         publication can at worst reuse the previous committed snapshot for
         one more statement — still a transactionally consistent view, which
         is exactly what statement-level snapshot isolation promises.
         """
 
-        db = self.system.db
-        view: Optional[ReadView] = getattr(self._stmt_views, "view", None)
-        if view is None or view.epoch != db.publication_epoch:
+        cached = self._stmt_views
+        view: Optional[ReadView] = getattr(cached, "view", None)
+        if view is None or view.epoch != db.publication_epoch or cached.db is not db:
             if view is not None:
                 view.close()
                 self._open_views.discard(view)
-            view = self._stmt_views.view = db.begin_read_view()
+            view = cached.view = db.begin_read_view()
+            cached.db = db
             self._open_views.add(view)
         return view
 
@@ -635,7 +654,7 @@ class Session:
     def prepare(self, text: str) -> PreparedStatement:
         """Compile an ERQL SELECT once; re-execute it with fresh bindings."""
 
-        return PreparedStatement(self, self.system._compile(text))
+        return PreparedStatement(self, self.system._compile(text, self.system._layout))
 
     def query(
         self,
@@ -645,30 +664,40 @@ class Session:
     ) -> Result:
         """Parse/plan (through the normalized-text plan cache) and execute.
 
-        Snapshot sessions execute under :meth:`read_scope`, so the result is
+        Snapshot sessions execute under a snapshot view, so the result is
         always transactionally consistent even while a writer commits in
         parallel.
         """
 
+        return Result(self._query(text, params, executor))
+
+    def _query(
+        self,
+        text: str,
+        params: Optional[Dict[str, Any]],
+        executor: Optional[str] = None,
+        authorize: Optional[Callable[[CompiledQuery], None]] = None,
+    ) -> QueryResult:
+        """Compile ``text`` for the active layout, ``authorize`` it, run it there.
+
+        The door behind ``ErbiumDB.query``, :meth:`query` and the REST
+        ``/query``: traced when sampled, and always timed so slow outliers
+        reach the slow log (without a phase breakdown when unsampled).
+        """
+
         system = self.system
+        layout = system._layout
         obs = system.observability
-        if not obs.enabled:
-            compiled = system._compile(text)
-            with self.read_scope():
-                return Result(
-                    system._execute_compiled(compiled, params, executor=executor)
-                )
-        tracer = obs.tracer
-        trace = tracer.start_query()
+        tracer = obs.tracer if obs.enabled else None
+        trace = tracer.start_query() if tracer is not None else None
         if trace is None:
             started = _perf_counter()
-            compiled = system._compile(text)
-            with self.read_scope():
-                result = Result(
-                    system._execute_compiled(compiled, params, executor=executor)
-                )
+            compiled = system._compile(text, layout)
+            if authorize is not None:
+                authorize(compiled)
+            result = self._run(compiled, layout, params, executor)
             elapsed = _perf_counter() - started
-            if elapsed >= obs.slowlog.threshold_seconds:
+            if tracer is not None and elapsed >= obs.slowlog.threshold_seconds:
                 tracer.record_slow(
                     compiled.normalized_text,
                     tuple(sorted(compiled.parameters)),
@@ -678,15 +707,14 @@ class Session:
             return result
         trace.detail = text
         try:
-            compiled = system._compile(text)
+            compiled = system._compile(text, layout)
+            # re-key the trace on the normalized text (the plan-cache /
+            # slow-log shape key) and redact bindings to their names
             trace.detail = compiled.normalized_text
             trace.param_names = tuple(sorted(compiled.parameters))
-            with self.read_scope():
-                result = Result(
-                    system._execute_compiled(
-                        compiled, params, executor=executor, trace=trace
-                    )
-                )
+            if authorize is not None:
+                authorize(compiled)
+            result = self._run(compiled, layout, params, executor, trace)
         except BaseException as exc:
             tracer.finish(trace, error=exc)
             raise
@@ -705,35 +733,32 @@ class Session:
         return self.query(text, params=params, executor=executor)
 
     def explain(self, text: str) -> str:
-        return self.system.db.explain(self.system._compile(text).plan)
+        layout = self.system._layout
+        return layout.db.explain(self.system._compile(text, layout).plan)
 
     # -- CRUD (the logic behind the ErbiumDB facade methods) ------------------
 
     def insert(self, entity: str, values: Dict[str, Any]) -> EntityInstance:
-        self._ensure_writable()
-        return self.system._require_crud().insert_entity(
-            EntityInstance(entity, dict(values))
-        )
+        return self._writer().insert_entity(EntityInstance(entity, dict(values)))
 
     def insert_many(self, entity: str, rows: Sequence[Dict[str, Any]]) -> int:
-        self._ensure_writable()
+        crud = self._writer()
         instances = [EntityInstance(entity, dict(values)) for values in rows]
-        return len(self.system._require_crud().insert_entities(instances))
+        return len(crud.insert_entities(instances))
 
     def get(self, entity: str, key: Union[Any, Sequence[Any]]) -> Optional[Dict[str, Any]]:
-        with self.read_scope():
-            instance = self.system._require_crud().get_entity(entity, key)
+        layout = self.system._layout
+        with self.read_scope(layout):
+            instance = layout.templates().get_entity(entity, key)
         return dict(instance.values) if instance is not None else None
 
     def update(
         self, entity: str, key: Union[Any, Sequence[Any]], changes: Dict[str, Any]
     ) -> None:
-        self._ensure_writable()
-        self.system._require_crud().update_entity(entity, key, changes)
+        self._writer().update_entity(entity, key, changes)
 
     def delete(self, entity: str, key: Union[Any, Sequence[Any]]) -> int:
-        self._ensure_writable()
-        return self.system._require_crud().delete_entity(entity, key)
+        return self._writer().delete_entity(entity, key)
 
     @staticmethod
     def _normalize_endpoints(
@@ -753,24 +778,24 @@ class Session:
         instance = RelationshipInstance(
             relationship, self._normalize_endpoints(endpoints), dict(values or {})
         )
-        self._ensure_writable()
-        return self.system._require_crud().insert_relationship(instance)
+        return self._writer().insert_relationship(instance)
 
     def unlink(self, relationship: str, endpoints: Dict[str, Union[Any, Sequence[Any]]]) -> int:
-        self._ensure_writable()
-        return self.system._require_crud().delete_relationship(
+        return self._writer().delete_relationship(
             relationship, self._normalize_endpoints(endpoints)
         )
 
     def related(
         self, relationship: str, from_entity: str, key: Union[Any, Sequence[Any]]
     ) -> List[Tuple[Any, ...]]:
-        with self.read_scope():
-            return self.system._require_crud().related_keys(relationship, from_entity, key)
+        layout = self.system._layout
+        with self.read_scope(layout):
+            return layout.templates().related_keys(relationship, from_entity, key)
 
     def count(self, entity: str) -> int:
-        with self.read_scope():
-            return self.system._require_crud().count_entities(entity)
+        layout = self.system._layout
+        with self.read_scope(layout):
+            return layout.templates().count_entities(entity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "autocommit" if self.autocommit else (

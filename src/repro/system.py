@@ -25,11 +25,13 @@ This mirrors the architecture in Figure 3 of the paper:
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -67,7 +69,7 @@ PLAN_CACHE_SIZE = 128
 
 
 class QueryMetrics:
-    """Instrumentation counters for the compile pipeline and plan cache.
+    """The compile pipeline's and plan cache's registry counters.
 
     ``parses`` / ``analyses`` / ``plans`` count the actual work performed;
     ``cache_hits`` counts compilations answered from the plan cache (by raw
@@ -76,80 +78,54 @@ class QueryMetrics:
     additional parses/analyses/plans — the acceptance property of the
     prepared-statement layer.
 
-    A facade over lock-protected :class:`~repro.observability.Counter`
-    instruments in the system's metrics registry: the attribute reads and
-    :meth:`snapshot` shape predate the registry and stay stable, while the
-    same counts surface in ``GET /metrics`` and diagnostic bundles under
-    the ``query.*`` / ``plan_cache.*`` names.  Every increment goes through
-    a counter's own lock, so the counts are exact under concurrency —
-    including ``executions``, which used to be a racy bare ``+=``.
+    Each attribute is a lock-protected :class:`~repro.observability.Counter`
+    of the system's metrics registry (``query.*`` / ``plan_cache.*`` in
+    ``GET /metrics`` and diagnostic bundles), so the counts are exact under
+    concurrency; :meth:`snapshot` reads all six as plain ints.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._parses = self.registry.counter("query.parses")
-        self._analyses = self.registry.counter("query.analyses")
-        self._plans = self.registry.counter("query.plans")
-        self._cache_hits = self.registry.counter("plan_cache.hits")
-        self._executions = self.registry.counter("query.executions")
-        self._evictions = self.registry.counter("plan_cache.evictions")
-
-    # -- recording (each increment is lock-protected by its counter) --------
-
-    def record_parse(self) -> None:
-        self._parses.inc()
-
-    def record_analysis(self) -> None:
-        self._analyses.inc()
-
-    def record_plan(self) -> None:
-        self._plans.inc()
-
-    def record_cache_hit(self) -> None:
-        self._cache_hits.inc()
-
-    def record_execution(self) -> None:
-        self._executions.inc()
-
-    def record_evictions(self, count: int = 1) -> None:
-        if count:
-            self._evictions.inc(count)
-
-    # -- reads (the pre-registry attribute API, kept stable) ----------------
-
-    @property
-    def parses(self) -> int:
-        return self._parses.value
-
-    @property
-    def analyses(self) -> int:
-        return self._analyses.value
-
-    @property
-    def plans(self) -> int:
-        return self._plans.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits.value
-
-    @property
-    def executions(self) -> int:
-        return self._executions.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.parses = registry.counter("query.parses")
+        self.analyses = registry.counter("query.analyses")
+        self.plans = registry.counter("query.plans")
+        self.cache_hits = registry.counter("plan_cache.hits")
+        self.executions = registry.counter("query.executions")
+        self.evictions = registry.counter("plan_cache.evictions")
 
     def snapshot(self) -> Dict[str, int]:
         return {
-            "parses": self.parses,
-            "analyses": self.analyses,
-            "plans": self.plans,
-            "cache_hits": self.cache_hits,
-            "executions": self.executions,
-            "evictions": self.evictions,
+            "parses": self.parses.value,
+            "analyses": self.analyses.value,
+            "plans": self.plans.value,
+            "cache_hits": self.cache_hits.value,
+            "executions": self.executions.value,
+            "evictions": self.evictions.value,
         }
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The active physical layout, published as one immutable value.
+
+    Every statement reads ``ErbiumDB._layout`` once and then plans (with
+    ``planner``), caches plans (under ``version``), pins views and executes
+    (on ``db``) against that one value — so it runs wholly on the old layout
+    or wholly on the new one, never on a mix, while an online migration
+    flips the system.
+    """
+
+    schema: ERSchema
+    spec: Optional[MappingSpec]
+    mapping: Optional[Mapping]
+    db: Database
+    crud: Optional[CrudTemplates]
+    planner: Optional[Planner]
+    version: int
+
+    def templates(self) -> CrudTemplates:
+        if self.crud is None:
+            raise MappingError("no mapping installed; call set_mapping() first")
+        return self.crud
 
 
 class ErbiumDB:
@@ -157,9 +133,9 @@ class ErbiumDB:
 
     Repeated :meth:`query` calls skip parse/analyze/plan via a bounded LRU
     plan cache keyed on the *normalized parameterized text* (the unparse of
-    the parsed statement) plus the mapping version — so whitespace/case
+    the parsed statement) plus the layout version — so whitespace/case
     variants and every execution of a prepared statement share one compiled
-    plan.  The cache is invalidated whenever the active mapping changes.
+    plan.  Publishing a new layout empties the cache.
     """
 
     def __init__(
@@ -170,29 +146,82 @@ class ErbiumDB:
         observability: Optional[Observability] = None,
     ) -> None:
         self.name = name
-        self.schema = schema if schema is not None else ERSchema(name)
-        self.db = Database(name)
-        self.mapping: Optional[Mapping] = None
-        self.crud: Optional[CrudTemplates] = None
         self.observability = observability if observability is not None else Observability()
-        self.db.observability = self.observability
         self.metrics = QueryMetrics(self.observability.registry)
         self.durability = None  # a DurabilityManager once enable_durability ran
         self.access = None  # an AccessController once attach_governance ran
         self.audit = None  # an AuditLog once attach_governance ran
-        self._mapping_spec: Optional[MappingSpec] = None
-        self._planner: Optional[Planner] = None
+        db = Database(name)
+        db.observability = self.observability
+        # Replaced only by _publish; version 0 is the unmapped layout.
+        self._layout = Layout(
+            schema if schema is not None else ERSchema(name), None, None, db, None, None, 0
+        )
+        self._versions = itertools.count(1)
         self._plan_cache: "OrderedDict[Tuple[str, int], CompiledQuery]" = OrderedDict()
         self._plan_cache_size = plan_cache_size
-        # Guards the plan cache: concurrent reader sessions share it, and
-        # OrderedDict reordering is not atomic.  (Metrics counters carry
-        # their own locks in the registry.)
+        # Guards the plan cache and layout publication: concurrent reader
+        # sessions share the cache, and OrderedDict reordering is not atomic.
+        # (Metrics counters carry their own locks in the registry.)
         self._cache_lock = threading.Lock()
         # Serializes online migrations: the protocol assumes one shadow
         # database and one changelog at a time (held for the whole run).
         self._migration_lock = threading.Lock()
-        self._mapping_version = 0
         self._implicit_session = Session(self, autocommit=True)
+
+    # ----------------------------------------------------------------- layout
+    #
+    # Read-only views of the active layout; a change publishes a new Layout.
+
+    @property
+    def schema(self) -> ERSchema:
+        return self._layout.schema
+
+    @property
+    def db(self) -> Database:
+        return self._layout.db
+
+    @property
+    def mapping(self) -> Optional[Mapping]:
+        return self._layout.mapping
+
+    @property
+    def crud(self) -> Optional[CrudTemplates]:
+        return self._layout.crud
+
+    def _layout_for(
+        self, schema: ERSchema, spec: Optional[MappingSpec], mapping: Mapping, db: Database
+    ) -> Layout:
+        """A layout over ``mapping`` installed in ``db``, templates and planner built.
+
+        The version comes from a counter that never repeats, so nothing
+        compiled under an earlier layout — a reverted flip's included —
+        matches it.
+        """
+
+        return Layout(
+            schema,
+            spec,
+            mapping,
+            db,
+            CrudTemplates(schema, mapping, db),
+            Planner(schema, mapping, db),
+            next(self._versions),
+        )
+
+    def _publish(self, layout: Layout) -> None:
+        """Make ``layout`` the active one, in one assignment.
+
+        The plan cache is emptied in the same critical section (the evicted
+        plans counted in ``metrics.evictions``), and ``_cache_put`` refuses
+        plans of any other version, so the cache only ever holds plans of
+        the active layout.
+        """
+
+        with self._cache_lock:
+            self._layout = layout
+            self.metrics.evictions.inc(len(self._plan_cache))
+            self._plan_cache.clear()
 
     # ------------------------------------------------------------------- DDL
 
@@ -234,11 +263,7 @@ class ErbiumDB:
                 "the evolution subsystem to migrate"
             )
         mapping.install(self.db)
-        self.mapping = mapping
-        self._mapping_spec = spec
-        self.crud = CrudTemplates(self.schema, mapping, self.db)
-        self._planner = Planner(self.schema, mapping, self.db)
-        self.invalidate_plans()
+        self._publish(self._layout_for(self.schema, spec, mapping, self.db))
         if self.durability is not None:
             # A mapping change is a DDL barrier for the log: checkpoint now
             # (capturing schema + spec + freshly created tables) so the WAL
@@ -266,13 +291,8 @@ class ErbiumDB:
             raise MappingError("no mapping installed; call set_mapping() first")
         return self.mapping
 
-    def _require_crud(self) -> CrudTemplates:
-        if self.crud is None:
-            raise MappingError("no mapping installed; call set_mapping() first")
-        return self.crud
-
     def access_paths(self) -> AccessPathBuilder:
-        return AccessPathBuilder(self.schema, self.active_mapping(), self.db)
+        return self._layout.templates().access
 
     # ------------------------------------------------------------- evolution
 
@@ -636,7 +656,7 @@ class ErbiumDB:
         (not row-level) constraint and index maintenance costs.
         """
 
-        crud = self._require_crud()
+        crud = self._layout.templates()
         inserted = crud.insert_entities(list(entities))
         linked = crud.insert_relationships(list(relationships))
         return len(inserted) + len(linked)
@@ -657,58 +677,7 @@ class ErbiumDB:
         :meth:`prepare`, which skips the plan-cache probe entirely.
         """
 
-        obs = self.observability
-        if not obs.enabled:
-            compiled = self._compile(text)
-            return self._execute_compiled(compiled, params, executor=executor)
-        tracer = obs.tracer
-        trace = tracer.start_query()
-        if trace is None:
-            # unsampled fast path: still timed, so slow outliers always
-            # reach the slow log (without a phase breakdown)
-            started = time.perf_counter()
-            compiled = self._compile(text)
-            result = self._execute_compiled(compiled, params, executor=executor)
-            elapsed = time.perf_counter() - started
-            if elapsed >= obs.slowlog.threshold_seconds:
-                tracer.record_slow(
-                    compiled.normalized_text,
-                    tuple(sorted(compiled.parameters)),
-                    elapsed,
-                    rows=len(result),
-                )
-            return result
-        trace.detail = text
-        try:
-            compiled = self._compile(text)
-            # re-key the trace on the normalized text (the plan-cache /
-            # slow-log shape key) and redact bindings to their names
-            trace.detail = compiled.normalized_text
-            trace.param_names = tuple(sorted(compiled.parameters))
-            result = self._execute_compiled(compiled, params, executor=executor, trace=trace)
-        except BaseException as exc:
-            tracer.finish(trace, error=exc)
-            raise
-        trace.rows = len(result)
-        tracer.finish(trace)
-        return result
-
-    def invalidate_plans(self) -> None:
-        """Evict plans compiled under stale mapping versions.
-
-        Called whenever the active mapping (or the schema behind it)
-        changes: the version bump makes every existing key stale, and stale
-        entries are evicted eagerly — rather than left to age out of the
-        LRU — so the cache never retains plans that could only ever miss.
-        ``metrics.evictions`` counts them.
-        """
-
-        with self._cache_lock:
-            self._mapping_version += 1
-            # the bump makes every existing key stale (and _cache_put refuses
-            # stale versions), so eviction is a counted clear
-            self.metrics.record_evictions(len(self._plan_cache))
-            self._plan_cache.clear()
+        return self._implicit_session._query(text, params, executor)
 
     def plan(self, text: str):
         """The physical plan an ERQL query compiles to under the active mapping.
@@ -718,31 +687,33 @@ class ErbiumDB:
         reset in :meth:`_execute_compiled` instead.
         """
 
-        plan = self._compile(text).plan
+        plan = self._compile(text, self._layout).plan
         plan.reset_caches()
         return plan
 
-    def _compile(self, text: str) -> CompiledQuery:
-        """Compile ERQL text, going through the normalized-text plan cache.
+    def _compile(self, text: str, layout: Layout) -> CompiledQuery:
+        """Compile ERQL text for ``layout``, through the normalized-text plan cache.
 
         Two probes: the raw text first (exact repeats skip even the parse),
         then — after one parse — the normalized ``unparse(parse(text))`` form,
         under which whitespace/case/parenthesization variants and every
         prepared execution of a parameterized statement share one plan.
-        Callers reset operator-level caches (``Materialize``) before running
-        the plan (:meth:`plan` / :meth:`_execute_compiled`), so cached plans
-        always re-read current table data.
+        Both keys carry ``layout.version``, and the caller runs the plan on
+        ``layout.db`` (:meth:`_execute_compiled`), so a statement never mixes
+        two layouts.  Callers reset operator-level caches (``Materialize``)
+        before running the plan, so cached plans always re-read current
+        table data.
         """
 
-        if self._planner is None:
+        if layout.planner is None:
             raise MappingError("no mapping installed; call set_mapping() first")
-        version = self._mapping_version
+        version = layout.version
         cached = self._cache_get((text, version))
         if cached is not None:
             return cached
         with phase_timer("parse"):
             statement = parse_query(text)
-        self.metrics.record_parse()
+        self.metrics.parses.inc()
         normalized = unparse_query(statement)
         cached = self._cache_get((normalized, version))
         if cached is not None:
@@ -750,11 +721,11 @@ class ErbiumDB:
             self._cache_put((text, version), cached)
             return cached
         with phase_timer("analyze"):
-            bound = analyze_query(self.schema, statement)
+            bound = analyze_query(layout.schema, statement)
         with phase_timer("plan"):
-            plan = self._planner.plan(bound)
-        self.metrics.record_analysis()
-        self.metrics.record_plan()
+            plan = layout.planner.plan(bound)
+        self.metrics.analyses.inc()
+        self.metrics.plans.inc()
         attribute_refs = sorted(
             {
                 (bound.aliases[alias], attribute)
@@ -783,28 +754,29 @@ class ErbiumDB:
             if cached is None:
                 return None
             self._plan_cache.move_to_end(key)
-            self.metrics.record_cache_hit()
+            self.metrics.cache_hits.inc()
             return cached
 
     def _cache_put(self, key: Tuple[str, int], compiled: CompiledQuery) -> None:
         with self._cache_lock:
-            if key[1] != self._mapping_version:
-                # compiled under a mapping that changed mid-flight: never cache
-                # a plan that the next probe could not legally return
+            if key[1] != self._layout.version:
+                # compiled under a layout that was replaced mid-flight: never
+                # cache a plan that the next probe could not legally return
                 return
             self._plan_cache[key] = compiled
             while len(self._plan_cache) > self._plan_cache_size:
                 self._plan_cache.popitem(last=False)
-                self.metrics.record_evictions(1)
+                self.metrics.evictions.inc()
 
     def _execute_compiled(
         self,
         compiled: CompiledQuery,
+        layout: Layout,
         params: Optional[Dict[str, Any]] = None,
         executor: Optional[str] = None,
         trace: Optional["TraceRecord"] = None,
     ) -> QueryResult:
-        """Run a compiled plan with validated bindings (shared by all paths).
+        """Run a plan compiled for ``layout`` on its database (shared by all paths).
 
         ``trace`` is the caller's *sampled* trace record, threaded through
         explicitly (rather than read from the tracing thread-local) so the
@@ -815,33 +787,33 @@ class ErbiumDB:
 
         bindings = check_bindings(compiled.parameters, params)
         compiled.plan.reset_caches()
-        self.metrics.record_execution()
+        self.metrics.executions.inc()
         if trace is None:
-            return self.db.execute(compiled.plan, executor=executor, params=bindings)
+            return layout.db.execute(compiled.plan, executor=executor, params=bindings)
         started = time.perf_counter()
         try:
-            return self.db.execute(
+            return layout.db.execute(
                 compiled.plan, executor=executor, params=bindings, trace=trace
             )
         finally:
             trace.add_phase("execute", time.perf_counter() - started)
 
     def explain(self, text: str) -> str:
-        plan = self.plan(text)
-        return self.db.explain(plan)
+        return self._implicit_session.explain(text)
 
     # ------------------------------------------------------------------ info
 
     def describe(self) -> Dict[str, Any]:
+        layout = self._layout
         out = {
             "name": self.name,
-            "schema": self.schema.describe(),
-            "backend": self.db.describe(),
+            "schema": layout.schema.describe(),
+            "backend": layout.db.describe(),
             "health": self.health.value,
             "observability": self.observability.describe(),
         }
-        if self.mapping is not None:
-            out["mapping"] = self.mapping.describe()
+        if layout.mapping is not None:
+            out["mapping"] = layout.mapping.describe()
         if self.durability is not None:
             out["durability"] = self.durability.describe()
         return out

@@ -25,6 +25,7 @@ from repro.durability.snapshot import (
     spec_to_dict,
 )
 from repro.durability.wal import WriteAheadLog, truncate_torn_tail
+from repro.evolution import AddAttribute
 from repro.relational import Column, Database, INT, TEXT
 from repro.workloads.synthetic import build_synthetic_schema, synthetic_mappings
 from repro.workloads.university import build_university_schema
@@ -394,20 +395,25 @@ def test_plan_cache_respects_size_bound_and_counts_evictions():
     for i in range(10):
         system.query(f"select i.val from item i where i.id = {i}")
     assert len(system._plan_cache) <= 4
-    assert system.metrics.evictions > 0
+    assert system.metrics.snapshot()["evictions"] > 0
 
 
 def test_plan_cache_evicts_stale_mapping_versions():
     system = _tiny_system(plan_cache_size=32)
     system.query("select i.val from item i")
-    assert len(system._plan_cache) > 0
-    evictions_before = system.metrics.evictions
-    system.invalidate_plans()  # what a mapping/schema change calls
+    cached = len(system._plan_cache)
+    assert cached > 0
+    evictions_before = system.metrics.snapshot()["evictions"]
+    version_before = system._layout.version
+    # a real publish: the online flip swaps in the new layout
+    system.migrate_online(change=AddAttribute("item", Attribute("note", "varchar")))
     assert len(system._plan_cache) == 0
-    assert system.metrics.evictions > evictions_before
+    assert system.metrics.snapshot()["evictions"] == evictions_before + cached
+    assert system._layout.version > version_before
     # recompiles land under the new version and are cached again
-    system.query("select i.val from item i")
-    assert all(key[1] == system._mapping_version for key in system._plan_cache)
+    system.query("select i.val, i.note from item i")
+    assert system._plan_cache
+    assert all(key[1] == system._layout.version for key in system._plan_cache)
 
 
 # --------------------------------------------------------------------------

@@ -200,8 +200,11 @@ def test_flip_checkpoint_failure_rolls_back_and_fences_commits(tmp_path):
     system.load(data.entities, data.relationships)
     system.checkpoint()
     old_name = system.mapping.name
+    old_layout = system._layout
     before = _content(system)
     key = system.crud.entity_keys("R")[0][0]
+    query = "select r.r_id, r.r_y from R r"
+    stmt = system.prepare(query)
 
     # the next replace is the flip checkpoint's atomic-write rename
     fs.fail("replace", at=1)
@@ -210,7 +213,8 @@ def test_flip_checkpoint_failure_rolls_back_and_fences_commits(tmp_path):
             new_spec=synthetic_mappings(system.schema)[TARGET], batch_size=BATCH
         )
 
-    # the swap was reverted: the old layout keeps serving reads, unchanged
+    # the old layout object was published again and keeps serving, unchanged
+    assert system._layout is old_layout
     assert system.mapping.name == old_name
     assert _content(system) == before
     assert reconcile(system).ok
@@ -236,6 +240,13 @@ def test_flip_checkpoint_failure_rolls_back_and_fences_commits(tmp_path):
     assert system.durability.describe()["commit_fence"] is None
     system.update("R", key, {"r_y": 9})
     assert _content(system) != before
+
+    # flip -> revert -> flip: the second flip never reuses the reverted
+    # flip's version, so a statement prepared before both recompiles
+    system.migrate_online(new_spec=synthetic_mappings(system.schema)[TARGET])
+    assert system.mapping.name != old_name
+    assert system._layout.version > old_layout.version + 1
+    assert stmt.execute().sorted_tuples() == system.query(query).sorted_tuples()
     system.close()
 
 

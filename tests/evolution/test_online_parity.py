@@ -34,6 +34,7 @@ from repro.evolution import (
 )
 from repro.evolution.migration import _extract_instances
 from repro import ErbiumDB
+from repro.erql import Planner
 from repro.mapping import named_mapping
 from repro.workloads.synthetic import (
     build_synthetic_schema,
@@ -69,20 +70,13 @@ def _assert_query_parity(online_system, offline_triple, queries):
     """The two worlds answer the same queries identically, both executors."""
 
     schema, mapping, db = offline_triple
-    shadow = ErbiumDB("shadow", schema)
-    shadow.mapping = mapping
-    shadow._mapping_spec = None
-    # build a system around the offline result without re-installing
-    from repro.erql import Planner
-    from repro.mapping import CrudTemplates
-
-    shadow.db = db
-    shadow.crud = CrudTemplates(schema, mapping, db)
-    shadow._planner = Planner(schema, mapping, db)
+    offline = ErbiumDB("offline", schema)
+    # serve the offline result as it is: its tables are already installed
+    offline._publish(offline._layout_for(schema, None, mapping, db))
     for query in queries:
         for executor in ("row", "batch"):
             got = online_system.query(query, executor=executor).sorted_tuples()
-            want = shadow.query(query, executor=executor).sorted_tuples()
+            want = offline.query(query, executor=executor).sorted_tuples()
             assert got == want, (query, executor)
 
 
@@ -247,6 +241,51 @@ def test_remap_online_matches_offline(source, target):
         (new_schema, new_mapping, new_db),
         ["select r.r_id, r.r_y from R r", "select s.s_id, s.s_x from S s"],
     )
+
+
+@pytest.mark.parametrize("source,target", REMAP_PAIRS, ids=[f"{a}-{b}" for a, b in REMAP_PAIRS])
+def test_reads_inside_the_flip_see_one_whole_layout(source, target, monkeypatch):
+    """Every door answers from one whole layout while the flip builds the new one.
+
+    The hook fires where the flip constructs the new layout's planner, on the
+    flipping thread with both writer locks held.  A read there through
+    ``system.query``, a snapshot session, a prepared statement or a CRUD
+    ``get`` must give the pre-flip or the post-flip answer — never a plan of
+    one layout run on the database of the other.
+    """
+
+    system = _synthetic_system(source)
+    query = "select r.r_id, r.r_y from R r"
+    key = system.crud.entity_keys("R")[0]
+    session = system.session(isolation="snapshot")
+    prepared = system.prepare(query)
+
+    def read_every_door():
+        return (
+            _answer(system, query),
+            frozenset(session.query(query).to_tuples()),
+            frozenset(prepared.execute().to_tuples()),
+            json.dumps(system.get("R", key), sort_keys=True, default=str),
+        )
+
+    before = read_every_door()
+    inside: list = []
+    build_planner = Planner.__init__
+
+    def hooked(planner, *args, **kwargs):
+        build_planner(planner, *args, **kwargs)
+        inside.append(read_every_door())
+
+    monkeypatch.setattr(Planner, "__init__", hooked)
+    system.migrate_online(
+        new_spec=synthetic_mappings(system.schema)[target], reconcile_after=False
+    )
+    monkeypatch.undo()
+    after = read_every_door()
+    assert inside, "the flip built no planner"
+    for answers in inside:
+        for door, answer in enumerate(answers):
+            assert answer in (before[door], after[door]), door
 
 
 def test_remap_with_concurrent_writer_matches_offline_with_same_writes():

@@ -1,7 +1,7 @@
 """An explicit-session transaction that straddles an online-migration flip.
 
-The transaction lives on the database it began on; once the flip has swapped
-``system.db`` its reads and writes belong to a layout that no longer serves,
+The transaction lives on the layout it began on; once the flip has published
+a new one its reads and writes belong to a layout that no longer serves,
 so it rolls back there and fails with the *retryable* SerializationError —
 ``Session.run`` then re-executes the closure against the new layout.
 """

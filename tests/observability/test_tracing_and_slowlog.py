@@ -80,7 +80,7 @@ class TestQueryTracing:
         system.query("SELECT   i.id FROM item i WHERE i.id = $secret", params={"secret": 3})
         entry = obs.slowlog.entries(limit=1)[0]
         # normalized (not raw) text; parameter names only, never values
-        assert entry["query"] == system._compile(
+        assert entry["query"] == system.prepare(
             "select i.id from item i where i.id = $secret"
         ).normalized_text
         assert entry["params"] == ["secret"]
@@ -160,10 +160,10 @@ class TestSampling:
         system = _system()
         system.observability.set_sampling(50)
         statement = system.prepare("select i.id from item i where i.id = $k")
-        before = system.metrics.executions
+        before = system.metrics.snapshot()["executions"]
         for k in range(30):
             statement.execute(k=k % 10)
-        assert system.metrics.executions == before + 30
+        assert system.metrics.snapshot()["executions"] == before + 30
 
     def test_invalid_sampling_rejected(self):
         system = _system()

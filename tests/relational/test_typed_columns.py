@@ -306,6 +306,58 @@ class TestCorrectnessSweepParity:
                 typed.sorted_tuples() == plain.sorted_tuples() == row_mode.sorted_tuples()
             ), repr(plan)
 
+    @pytest.mark.parametrize(
+        "column, op, value",
+        [
+            ("v", "in", [2**53 + 1]),
+            ("v", "in", [float(2**53)]),
+            ("v", "in", [2**64, -(2**63)]),
+            ("v", "=", float(2**53)),
+            ("v", "<", float(2**53)),
+            ("v", "=", 2**64),
+            ("f", "in", [2**53 + 1]),
+            ("f", "in", [2**53, 10**400]),
+            ("f", "=", 2**53 + 1),
+            ("f", "<", 2**53 + 1),
+            ("f", ">=", -(2**53) - 1),
+        ],
+    )
+    def test_big_int_predicate_parity(self, column, op, value):
+        """Python compares ints and floats exactly; the kernels must not round.
+
+        float64 holds every int only up to 2**53, so each side of the
+        boundary is stored: 2**53 and 2**53 + 1 in an INT column, and the
+        float 2**53 in a FLOAT column.
+        """
+
+        from repro.relational.expressions import BinaryOp, InList, col, lit
+        from repro.relational.operators import Filter
+
+        db = Database("big")
+        db.create_table(
+            "b",
+            [Column("id", INT), Column("v", INT, nullable=True), Column("f", FLOAT, nullable=True)],
+            primary_key=["id"],
+        )
+        db.table("b").insert_batch(
+            [
+                {"id": 0, "v": 2**53, "f": float(2**53)},
+                {"id": 1, "v": 2**53 + 1, "f": -float(2**53)},
+                {"id": 2, "v": -(2**63), "f": None},
+                {"id": 3, "v": None, "f": 1.5},
+            ]
+        )
+        predicate = (
+            InList(col(column), value) if op == "in" else BinaryOp(op, col(column), lit(value))
+        )
+        plan = Filter(SeqScan("b"), predicate)
+        typed = db.execute(plan, executor="batch")
+        row_mode = db.execute(plan, executor="row")
+        with typed_columns_disabled():
+            db.table("b")._snapshot = None
+            plain = db.execute(plan, executor="batch")
+        assert typed.sorted_tuples() == plain.sorted_tuples() == row_mode.sorted_tuples()
+
     def test_division_by_zero_yields_null(self, db):
         from repro.relational.expressions import BinaryOp, col, lit
         from repro.relational.operators import Filter, Project

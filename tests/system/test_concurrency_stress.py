@@ -16,7 +16,6 @@ surface (``ErbiumDB.session(isolation="snapshot")``, the REST service):
   never-durable instances and on double close.
 """
 
-import os
 import threading
 
 import pytest
@@ -26,8 +25,8 @@ from repro.api import ApiService
 from repro.errors import SerializationError, TransactionError
 
 BATCH = 50
-BATCHES = int(os.environ.get("ERBIUM_STRESS_BATCHES", "30"))
-READERS = int(os.environ.get("ERBIUM_STRESS_READERS", "4"))
+BATCHES = 30
+READERS = 4
 
 
 def build_system(rows=500):
