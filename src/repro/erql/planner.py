@@ -305,7 +305,17 @@ class Planner:
         return HashAggregate(plan, group_by=group_by, aggregates=aggregates)
 
     def _project_after_aggregation(self, plan: PlanNode, query: BoundQuery) -> PlanNode:
-        outputs = [(item.name, col(item.name)) for item in query.items]
+        outputs = []
+        for item in query.items:
+            # a select item that is a GROUP BY key reads the key's column,
+            # whatever alias the item gives it (``city as c ... group by city``)
+            column = item.name
+            if not item.is_aggregate():
+                column = next(
+                    (k.name for k in query.group_keys if k.expression == item.expression),
+                    column,
+                )
+            outputs.append((item.name, col(column)))
         return Project(plan, outputs)
 
     def _project(self, plan: PlanNode, query: BoundQuery, unnest_handled: bool) -> PlanNode:

@@ -1,11 +1,15 @@
 """Schema change operations (paper Section 3).
 
-Each change is a small object with two responsibilities:
+Each change is a small object that owns everything the change means:
 
 * :meth:`SchemaChange.apply_to_schema` — produce the evolved E/R schema
   (the *logical* change, which the paper argues is small and localized);
 * :meth:`SchemaChange.describe` — a human/JSON-friendly record kept in the
-  version history.
+  version history;
+* :meth:`SchemaChange.applies_to` / :meth:`SchemaChange.transform_values` —
+  what it does to stored values, whole instances and captured updates alike;
+* :meth:`SchemaChange.rewrite_reference` / :meth:`SchemaChange.rewrite_equality`
+  — what it does to a query naming the changed attribute.
 
 The concrete changes implement exactly the scenarios the paper walks through:
 
@@ -16,14 +20,14 @@ The concrete changes implement exactly the scenarios the paper walks through:
 * :class:`AddEntitySet` / :class:`AddSubclass`;
 * :class:`AddRelationship` / :class:`DropRelationship`.
 
-Data migration between the physical designs of the old and new schema versions
-is handled separately by :mod:`repro.evolution.migration`.
+Data migration itself is :mod:`repro.evolution.migration` (offline) and
+:mod:`repro.evolution.online`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import (
     Attribute,
@@ -33,11 +37,18 @@ from ..core import (
     RelationshipSet,
 )
 from ..core.relationships import Cardinality
+from ..erql.ast_nodes import Expr, FuncCall, Literal, Name
+from ..erql.logical import BoundRef
 from ..errors import EvolutionError
 
 
 class SchemaChange:
-    """Base class for schema evolution operations."""
+    """Base class for schema evolution operations.
+
+    The defaults re-express no stored value and no query reference.  Drops
+    need no values rule: every migration fits each instance to the target
+    schema, which discards exactly what its entity set no longer has.
+    """
 
     def apply_to_schema(self, schema: ERSchema) -> ERSchema:
         """Return a new, evolved schema (the input is never modified)."""
@@ -46,6 +57,47 @@ class SchemaChange:
 
     def describe(self) -> Dict[str, Any]:
         return {"change": type(self).__name__}
+
+    def changed_attribute(self) -> Optional[Tuple[str, str]]:
+        """``(entity, attribute)`` whose values or query references change."""
+
+        return None
+
+    def applies_to(self, schema: ERSchema, entity: str) -> bool:
+        """True if ``entity`` (of the old ``schema``) owns or inherits the
+        changed attribute."""
+
+        changed = self.changed_attribute()
+        if changed is None:
+            return False
+        owner = changed[0]
+        return entity == owner or any(a.name == owner for a in schema.ancestors_of(entity))
+
+    def transform_values(self, values: Dict[str, Any]) -> Dict[str, Any]:
+        """``values`` — a whole instance's or a partial update's, of an entity
+        set the change applies to — under the evolved schema.
+
+        Returns ``values`` itself when nothing changes.
+        """
+
+        return values
+
+    def rewrite_reference(self, name: Name, ref: BoundRef, item: bool) -> Expr:
+        """Replacement for one query reference to the changed attribute.
+
+        ``ref`` is what ``name`` bound to under the old schema; ``item`` is
+        set when ``name`` is a whole select-list item.  Raises
+        :class:`~repro.errors.EvolutionError` with the reason when the
+        reference has no mechanical rewrite.
+        """
+
+        return name
+
+    def rewrite_equality(self, name: Name, ref: BoundRef, literal: Literal) -> Optional[Expr]:
+        """Replacement for a whole ``name = literal`` filter in WHERE (not
+        under NOT), or None when only ``name`` itself needs rewriting."""
+
+        return None
 
 
 @dataclass
@@ -83,6 +135,14 @@ class DropAttribute(SchemaChange):
     def describe(self) -> Dict[str, Any]:
         return {"change": "drop_attribute", "entity": self.entity, "attribute": self.attribute}
 
+    def changed_attribute(self) -> Optional[Tuple[str, str]]:
+        return self.entity, self.attribute
+
+    def rewrite_reference(self, name: Name, ref: BoundRef, item: bool) -> Expr:
+        raise EvolutionError(
+            f"attribute {self.attribute!r} of {self.entity!r} is dropped; its data is gone"
+        )
+
 
 @dataclass
 class RenameAttribute(SchemaChange):
@@ -116,6 +176,21 @@ class RenameAttribute(SchemaChange):
             "old_name": self.old_name,
             "new_name": self.new_name,
         }
+
+    def changed_attribute(self) -> Optional[Tuple[str, str]]:
+        return self.entity, self.old_name
+
+    def transform_values(self, values: Dict[str, Any]) -> Dict[str, Any]:
+        if self.old_name not in values:
+            return values
+        renamed = dict(values)
+        renamed[self.new_name] = renamed.pop(self.old_name)
+        return renamed
+
+    def rewrite_reference(self, name: Name, ref: BoundRef, item: bool) -> Expr:
+        parts = list(name.parts)
+        parts[len(parts) - len(ref.path) - 1] = self.new_name
+        return Name(parts)
 
 
 @dataclass
@@ -158,6 +233,27 @@ class MakeAttributeMultiValued(SchemaChange):
             "entity": self.entity,
             "attribute": self.attribute,
         }
+
+    def changed_attribute(self) -> Optional[Tuple[str, str]]:
+        return self.entity, self.attribute
+
+    def transform_values(self, values: Dict[str, Any]) -> Dict[str, Any]:
+        if self.attribute not in values:
+            return values
+        value = values[self.attribute]
+        return {**values, self.attribute: [] if value is None else [value]}
+
+    def rewrite_reference(self, name: Name, ref: BoundRef, item: bool) -> Expr:
+        if item:
+            return FuncCall("unnest", [name])
+        raise EvolutionError(
+            f"attribute {self.attribute!r} of {self.entity!r} becomes multi-valued; "
+            "only a select-list item (unnest) or a 'where attribute = literal' "
+            "filter (array_contains) has a mechanical rewrite"
+        )
+
+    def rewrite_equality(self, name: Name, ref: BoundRef, literal: Literal) -> Optional[Expr]:
+        return FuncCall("array_contains", [name, literal])
 
 
 @dataclass

@@ -8,8 +8,9 @@ supporting it inside the system.  The migrator here works at the E/R level:
 1. reconstruct every entity and relationship instance from the *old*
    (schema, mapping, database) triple using the CRUD templates — this is the
    reversibility property doing real work;
-2. transform each instance according to the schema change (e.g. wrap a scalar
-   city into a one-element list when the attribute becomes multi-valued);
+2. carry each instance to the new schema: the change's own values transform
+   (e.g. wrap a scalar city into a one-element list when the attribute
+   becomes multi-valued), then drop what the new schema no longer has;
 3. build a fresh database under the *new* schema and mapping and reload the
    transformed instances through the new CRUD templates.
 
@@ -21,7 +22,7 @@ mapping-ablation benchmarks use to switch layouts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import EntityInstance, ERSchema, RelationshipInstance
 from ..errors import MigrationError
@@ -34,17 +35,7 @@ from ..mapping import (
     fully_normalized_spec,
 )
 from ..relational import Database
-from .changes import (
-    AddRelationship,
-    AddSubclass,
-    AddEntitySet,
-    DropAttribute,
-    DropRelationship,
-    MakeAttributeMultiValued,
-    MakeRelationshipManyToMany,
-    RenameAttribute,
-    SchemaChange,
-)
+from .changes import SchemaChange
 
 
 @dataclass
@@ -60,17 +51,6 @@ class MigrationReport:
     #: source system, ready for ``restore_state`` on the successor — the
     #: same export/restore pair checkpoints and recovery use
     governance: Optional[Dict[str, Any]] = None
-
-
-def _targets(schema: ERSchema, entity_name: str, change_entity: str) -> bool:
-    """True if ``change_entity`` is ``entity_name`` or an ancestor of it."""
-
-    if entity_name == change_entity:
-        return True
-    try:
-        return change_entity in {a.name for a in schema.ancestors_of(entity_name)}
-    except Exception:
-        return False
 
 
 def _instance_walk(
@@ -125,84 +105,78 @@ def _extract_instances(
     return entities, relationships
 
 
-def _fit_to_schema(schema: ERSchema, instance: EntityInstance) -> EntityInstance:
-    """``instance`` without the values of attributes ``schema`` no longer has
-    (attributes dropped from the schema must not be re-inserted)."""
+class _Carry:
+    """Carries instances from the source schema to the target schema.
 
-    entity = instance.entity_set
-    names = set()
-    if schema.has_entity(entity):
-        names = {a.name for a in schema.effective_attributes(entity)}
-        names.update(schema.effective_key(entity))
-    return EntityInstance(
-        entity, {k: v for k, v in instance.values.items() if k in names}
-    )
+    The two steps every migration path shares — the offline
+    :class:`Migrator`, the online backfill and the online changelog replay:
+    the change's own values transform (for entity sets it applies to), then
+    the fit to the target schema, which drops the values of attributes an
+    entity set no longer has and the relationships the target no longer
+    has.  ``entities_transformed`` and ``dropped_values`` are counted into
+    ``report`` from exactly these two steps.
+    """
 
+    def __init__(
+        self,
+        change: Optional[SchemaChange],
+        source: ERSchema,
+        target: ERSchema,
+        report: Any,
+        hook: Optional[Callable[[EntityInstance], EntityInstance]] = None,
+    ) -> None:
+        self.change = change
+        self.source = source
+        self.target = target
+        self.report = report
+        self.hook = hook
+        self._kept: Dict[str, Set[str]] = {}
 
-def _transform_for_change(
-    schema: ERSchema,
-    change: Optional[SchemaChange],
-    entities: List[EntityInstance],
-    relationships: List[RelationshipInstance],
-    report: MigrationReport,
-) -> Tuple[List[EntityInstance], List[RelationshipInstance]]:
-    if change is None:
-        return entities, relationships
+    def _transform(self, entity: str, values: Dict[str, Any]) -> Dict[str, Any]:
+        change = self.change
+        if change is None or not change.applies_to(self.source, entity):
+            return values
+        transformed = change.transform_values(values)
+        if transformed is not values:
+            self.report.entities_transformed += 1
+        return transformed
 
-    if isinstance(change, MakeAttributeMultiValued):
-        transformed = []
-        for instance in entities:
-            if _targets(schema, instance.entity_set, change.entity):
-                value = instance.values.get(change.attribute)
-                new_value = [] if value is None else [value]
-                transformed.append(instance.with_values(**{change.attribute: new_value}))
-                report.entities_transformed += 1
-            else:
-                transformed.append(instance)
-        return transformed, relationships
+    def _fit(self, entity: str, values: Dict[str, Any]) -> Dict[str, Any]:
+        kept = self._kept.get(entity)
+        if kept is None:
+            kept = set()
+            if self.target.has_entity(entity):
+                kept = {a.name for a in self.target.effective_attributes(entity)}
+                kept.update(self.target.effective_key(entity))
+            self._kept[entity] = kept
+        fitted = {k: v for k, v in values.items() if k in kept}
+        if len(fitted) < len(values):
+            self.report.dropped_values += sum(
+                1 for k, v in values.items() if k not in kept and v is not None
+            )
+        return fitted
 
-    if isinstance(change, RenameAttribute):
-        transformed = []
-        for instance in entities:
-            if change.old_name in instance.values and _targets(
-                schema, instance.entity_set, change.entity
-            ):
-                values = dict(instance.values)
-                values[change.new_name] = values.pop(change.old_name)
-                transformed.append(EntityInstance(instance.entity_set, values))
-                report.entities_transformed += 1
-            else:
-                transformed.append(instance)
-        return transformed, relationships
+    def values(self, entity: str, values: Dict[str, Any]) -> Dict[str, Any]:
+        """A captured partial update of ``entity`` under the target schema."""
 
-    if isinstance(change, DropAttribute):
-        transformed = []
-        for instance in entities:
-            if change.attribute in instance.values:
-                values = dict(instance.values)
-                if values.pop(change.attribute, None) is not None:
-                    report.dropped_values += 1
-                transformed.append(EntityInstance(instance.entity_set, values))
-            else:
-                transformed.append(instance)
-        return transformed, relationships
+        return self._fit(entity, self._transform(entity, values))
 
-    if isinstance(change, DropRelationship):
-        kept = [r for r in relationships if r.relationship_set != change.relationship]
-        report.dropped_values += len(relationships) - len(kept)
-        return entities, kept
+    def entities(self, instances: List[EntityInstance]) -> List[EntityInstance]:
+        out = []
+        for instance in instances:
+            values = self._transform(instance.entity_set, instance.values)
+            if self.hook is not None:
+                instance = self.hook(EntityInstance(instance.entity_set, values))
+                values = instance.values
+            out.append(EntityInstance(instance.entity_set, self._fit(instance.entity_set, values)))
+        return out
 
-    # Changes that only add schema elements (or relax cardinalities) need no
-    # instance transformation.
-    if isinstance(
-        change,
-        (MakeRelationshipManyToMany, AddEntitySet, AddSubclass, AddRelationship),
-    ):
-        return entities, relationships
-
-    # Unknown change types: instances pass through untouched.
-    report.notes.append(f"no instance transformation defined for {type(change).__name__}")
-    return entities, relationships
+    def relationships(
+        self, instances: List[RelationshipInstance]
+    ) -> List[RelationshipInstance]:
+        kept = [r for r in instances if self.target.has_relationship(r.relationship_set)]
+        self.report.dropped_values += len(instances) - len(kept)
+        return kept
 
 
 class Migrator:
@@ -255,20 +229,14 @@ class Migrator:
         check_mapping(target_schema, new_mapping).raise_if_invalid()
 
         entities, relationships = _extract_instances(self.schema, self.mapping, self.db)
-        entities, relationships = _transform_for_change(
-            self.schema, change, entities, relationships, report
-        )
-        if transform is not None:
-            entities = [transform(e) for e in entities]
+        carry = _Carry(change, self.schema, target_schema, report, transform)
 
         new_db = Database(name=f"{self.db.name}_migrated")
         new_mapping.install(new_db)
         crud = CrudTemplates(target_schema, new_mapping, new_db)
-        crud.insert_entities([_fit_to_schema(target_schema, e) for e in entities])
+        crud.insert_entities(carry.entities(entities))
         report.entities_migrated = len(entities)
-        relationships = [
-            r for r in relationships if target_schema.has_relationship(r.relationship_set)
-        ]
+        relationships = carry.relationships(relationships)
         crud.insert_relationships(relationships)
         report.relationships_migrated = len(relationships)
 

@@ -10,13 +10,14 @@ it rebuilds a fresh database while nothing else runs.  The
    in exactly one of the two: the view (committed before the pin) or the
    changelog (committed after).  A ``migration_begin`` record is WAL-logged.
 2. **Backfill** — entity and relationship instances are read from the pinned
-   view in bounded batches, pushed through the same per-change transforms
-   the offline migrator uses, and loaded into a *shadow* database compiled
+   view in bounded batches, carried to the target schema by the same two
+   steps the offline migrator uses (the change's values transform, then the
+   fit to the target schema), and loaded into a *shadow* database compiled
    from the target spec.  The shadow is never WAL-logged: readers keep
    planning against the old layout the whole time, and each batch appends a
    ``backfill_batch`` marker so the on-disk log narrates progress.
 3. **Drain** — committed changelog entries are replayed onto the shadow in
-   catch-up rounds (each entry re-transformed for the schema change), and
+   catch-up rounds (each entry carried by the same two steps), and
    rollback-safe capture means an aborted transaction's entries are never
    replayed.
 4. **Flip** — holding *both* writer locks (old and shadow), the remaining
@@ -50,20 +51,8 @@ from ..errors import MigrationError, SerializationError
 from ..mapping import CrudTemplates, MappingSpec, check_mapping, compile_mapping, fully_normalized_spec
 from ..relational import Database
 from ..relational.mvcc import read_view_scope
-from .changes import (
-    DropAttribute,
-    DropRelationship,
-    MakeAttributeMultiValued,
-    RenameAttribute,
-    SchemaChange,
-)
-from .migration import (
-    MigrationReport,
-    _fit_to_schema,
-    _instance_walk,
-    _targets,
-    _transform_for_change,
-)
+from .changes import SchemaChange
+from .migration import _Carry, _instance_walk
 from .reconcile import ReconcileReport, reconcile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -191,27 +180,6 @@ class OnlineMigrationReport:
         return out
 
 
-def _transform_update_changes(
-    schema: ERSchema, change: Optional[SchemaChange], entity: str, changes: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Re-express a captured update's change dict under the target schema."""
-
-    changes = dict(changes)
-    if isinstance(change, RenameAttribute) and _targets(schema, entity, change.entity):
-        if change.old_name in changes:
-            changes[change.new_name] = changes.pop(change.old_name)
-    elif isinstance(change, DropAttribute) and _targets(schema, entity, change.entity):
-        changes.pop(change.attribute, None)
-    elif isinstance(change, MakeAttributeMultiValued) and _targets(
-        schema, entity, change.entity
-    ):
-        if change.attribute in changes:
-            value = changes[change.attribute]
-            if not isinstance(value, list):
-                changes[change.attribute] = [] if value is None else [value]
-    return changes
-
-
 def _batched(items: List[Any], size: int) -> List[List[Any]]:
     return [items[i : i + size] for i in range(0, len(items), size)] or []
 
@@ -241,7 +209,6 @@ class OnlineMigrator:
         self.batch_size = batch_size
         self.reconcile_after = reconcile_after
         self.report = OnlineMigrationReport()
-        self._transform_report = MigrationReport()
         self.changelog = MigrationChangelog()
         registry = system.observability.registry
         self._phase_gauge = registry.gauge("migration.phase")
@@ -303,6 +270,9 @@ class OnlineMigrator:
         new_mapping.install(shadow)
         self.shadow_db = shadow
         self.shadow_crud = CrudTemplates(target_schema, new_mapping, shadow)
+        self.carry = _Carry(
+            self.change, self.old.schema, target_schema, self.report, self.transform
+        )
 
     def _begin_capture(self) -> None:
         """Pin the read view and attach the changelog atomically.
@@ -357,12 +327,7 @@ class OnlineMigrator:
                     for name, key in batch
                     if (inst := self.old.crud.get_entity(name, key)) is not None
                 ]
-            instances, _ = _transform_for_change(
-                self.old.schema, self.change, instances, [], self._transform_report
-            )
-            if self.transform is not None:
-                instances = [self.transform(i) for i in instances]
-            loadable = [_fit_to_schema(self.target_schema, i) for i in instances]
+            loadable = self.carry.entities(instances)
             self.shadow_crud.insert_entities(loadable)
             self.report.entities_backfilled += len(loadable)
             self._instance_counter.inc(len(loadable))
@@ -371,12 +336,7 @@ class OnlineMigrator:
             self._log_batch("entities", len(loadable), batch[0][0] if batch else "")
 
         for batch in _batched(relationship_items, self.batch_size):
-            _, kept = _transform_for_change(
-                self.old.schema, self.change, [], list(batch), self._transform_report
-            )
-            kept = [
-                r for r in kept if self.target_schema.has_relationship(r.relationship_set)
-            ]
+            kept = self.carry.relationships(batch)
             self.shadow_crud.insert_relationships(kept)
             self.report.relationships_backfilled += len(kept)
             self._instance_counter.inc(len(kept))
@@ -386,40 +346,28 @@ class OnlineMigrator:
                 "relationships", len(kept), batch[0].relationship_set if batch else ""
             )
 
-        self.report.entities_transformed = self._transform_report.entities_transformed
-        self.report.dropped_values = self._transform_report.dropped_values
-        self.report.notes.extend(self._transform_report.notes)
-
     # -- changelog application ---------------------------------------------
 
     def _apply_entry(self, entry: _ChangeEntry) -> None:
         op, args = entry.op, entry.args
-        crud, schema = self.shadow_crud, self.target_schema
+        crud, carry = self.shadow_crud, self.carry
         if op == "insert_entity":
-            instances, _ = _transform_for_change(
-                self.old.schema, self.change, [args], [], self._transform_report
-            )
-            instance = instances[0]
-            if self.transform is not None:
-                instance = self.transform(instance)
-            crud.insert_entity(_fit_to_schema(schema, instance))
+            [instance] = carry.entities([args])
+            crud.insert_entity(instance)
         elif op == "update_entity":
             entity, key, changes = args
-            changes = _transform_update_changes(
-                self.old.schema, self.change, entity, changes
-            )
+            changes = carry.values(entity, changes)
             if changes:
                 crud.update_entity(entity, key, changes)
         elif op == "delete_entity":
             entity, key = args
             crud.delete_entity(entity, key)
         elif op == "insert_relationship":
-            instance = args
-            if schema.has_relationship(instance.relationship_set):
+            for instance in carry.relationships([args]):
                 crud.insert_relationship(instance)
         elif op == "delete_relationship":
             relationship, endpoints = args
-            if schema.has_relationship(relationship):
+            if self.target_schema.has_relationship(relationship):
                 crud.delete_relationship(relationship, endpoints)
         else:  # pragma: no cover - the templates only log the five ops above
             raise MigrationError(f"unknown changelog op {op!r}")

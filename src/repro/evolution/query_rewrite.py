@@ -8,26 +8,26 @@ join through the relationship by name.
 
 :func:`analyze_query_impact` classifies a set of ERQL queries against a schema
 change as ``unchanged`` / ``rewritten`` / ``broken``, and — where the rewrite
-is mechanical — produces the rewritten text.  This powers the A2 ablation
-benchmark and the schema-evolution example.
+is mechanical — produces the rewritten text.  It rewrites the parsed query,
+never its text: only names that bind (under the old schema) to the changed
+attribute of the targeted entity set or a subclass are handed to the change
+(:meth:`~repro.evolution.changes.SchemaChange.rewrite_reference`, and
+``rewrite_equality`` for a ``name = literal`` filter).  This powers
+the A2 ablation benchmark and the schema-evolution example.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, List, Optional
 
 from ..core import ERSchema
-from ..errors import AnalysisError, ErbiumError
-from ..erql import analyze_query, parse_query
-from .changes import (
-    DropAttribute,
-    MakeAttributeMultiValued,
-    MakeRelationshipManyToMany,
-    RenameAttribute,
-    SchemaChange,
-)
+from ..errors import ErbiumError
+from ..erql import parse_query, unparse_query
+from ..erql.analyzer import Analyzer
+from ..erql.ast_nodes import BinOp, Expr, Literal, Name, SelectItem, StructCall
+from ..erql.logical import BoundRef
+from .changes import SchemaChange
 
 
 @dataclass
@@ -40,43 +40,102 @@ class QueryImpact:
     reason: str = ""
 
 
-def _query_is_valid(schema: ERSchema, text: str) -> Tuple[bool, str]:
+class _RecordingAnalyzer(Analyzer):
+    """The production analyzer, also recording what each name binds to."""
+
+    def __init__(self, schema: ERSchema) -> None:
+        super().__init__(schema)
+        self.bindings: Dict[int, BoundRef] = {}
+
+    def _resolve_name(self, name: Name, context) -> BoundRef:
+        ref = super()._resolve_name(name, context)
+        self.bindings[id(name)] = ref
+        return ref
+
+
+class _Rewriter:
+    """Rebuilds a query tree, handing each reference to the changed attribute
+    to the change."""
+
+    def __init__(self, change: SchemaChange, schema: ERSchema, bindings: Dict[int, BoundRef]) -> None:
+        self.change = change
+        self.schema = schema
+        self.bindings = bindings
+        self.attribute = change.changed_attribute()[1]
+
+    def _hit(self, expr: Expr) -> Optional[BoundRef]:
+        ref = self.bindings.get(id(expr)) if isinstance(expr, Name) else None
+        if ref is None or ref.entity is None or ref.attribute != self.attribute:
+            return None
+        return ref if self.change.applies_to(self.schema, ref.entity) else None
+
+    def expr(self, expr: Expr, item: bool = False, where: bool = False) -> Expr:
+        """``expr`` rewritten; ``item`` is set for a whole select-list item,
+        ``where`` on the AND/OR spine of WHERE."""
+
+        ref = self._hit(expr)
+        if ref is not None:
+            return self.change.rewrite_reference(expr, ref, item)
+        if where and isinstance(expr, BinOp) and expr.op in ("and", "or"):
+            return BinOp(expr.op, self.expr(expr.left, where=True), self.expr(expr.right, where=True))
+        if where and isinstance(expr, BinOp) and expr.op == "=":
+            for name, other in ((expr.left, expr.right), (expr.right, expr.left)):
+                ref = self._hit(name)
+                if ref is not None and isinstance(other, Literal) and other.value is not None:
+                    replacement = self.change.rewrite_equality(name, ref, other)
+                    if replacement is not None:
+                        return replacement
+        if isinstance(expr, StructCall):
+            struct_fields = []
+            for alias, value in expr.fields:
+                # a struct field named after a rewritten reference keeps its name
+                ref = self._hit(value)
+                alias = alias if alias is not None or ref is None else ref.display_name()
+                struct_fields.append((alias, self.expr(value)))
+            return StructCall(struct_fields)
+        return replace(expr, **{f.name: self._map(getattr(expr, f.name)) for f in fields(expr)})
+
+    def _map(self, value: Any) -> Any:
+        if isinstance(value, Expr):
+            return self.expr(value)
+        if isinstance(value, list):
+            return [self._map(v) for v in value]
+        return value
+
+
+def _impact(schema: ERSchema, evolved: ERSchema, change: SchemaChange, text: str) -> QueryImpact:
     try:
-        analyze_query(schema, parse_query(text))
-        return True, ""
+        statement = parse_query(text)
+        recorder = _RecordingAnalyzer(schema)
+        before = recorder.analyze(statement)
     except ErbiumError as exc:
-        return False, str(exc)
+        return QueryImpact(query=text, status="broken", reason=f"invalid before change: {exc}")
 
-
-def _references_attribute(schema: ERSchema, text: str, entity: str, attribute: str) -> bool:
+    rewritten = statement
+    if change.changed_attribute() is not None:
+        rewriter = _Rewriter(change, schema, recorder.bindings)
+        try:
+            items = []
+            for item, bound in zip(statement.items, before.items):
+                expression = rewriter.expr(item.expression, item=True)
+                # a rewritten item keeps the original output column name
+                kept = item.alias is not None or expression == item.expression
+                items.append(SelectItem(expression, item.alias if kept else bound.name))
+            rewritten = replace(
+                statement,
+                items=items,
+                where=None if statement.where is None else rewriter.expr(statement.where, where=True),
+                group_by=[rewriter.expr(e) for e in statement.group_by],
+            )
+        except ErbiumError as exc:
+            return QueryImpact(query=text, status="broken", reason=str(exc))
     try:
-        bound = analyze_query(schema, parse_query(text))
-    except ErbiumError:
-        return attribute in text
-    for item in bound.items + ([] if bound.where is None else [type("w", (), {"expression": bound.where})()]):
-        expression = item.expression
-        for ref in expression.refs():
-            if ref.attribute == attribute and (ref.entity == entity or ref.entity is None):
-                return True
-    return False
-
-
-def _rewrite_for_multivalued(text: str, attribute: str) -> str:
-    """``select ..., city, ...`` -> ``select ..., unnest(city), ...`` (only in the select list)."""
-
-    pattern = re.compile(rf"(?<![\w.]){re.escape(attribute)}(?![\w(])")
-    select_end = re.search(r"\bfrom\b", text, flags=re.IGNORECASE)
-    if not select_end:
-        return text
-    head = text[: select_end.start()]
-    tail = text[select_end.start():]
-    head = pattern.sub(f"unnest({attribute})", head)
-    return head + tail
-
-
-def _rewrite_rename(text: str, old_name: str, new_name: str) -> str:
-    pattern = re.compile(rf"(?<![\w]){re.escape(old_name)}(?![\w])")
-    return pattern.sub(new_name, text)
+        Analyzer(evolved).analyze(rewritten)
+    except ErbiumError as exc:
+        return QueryImpact(query=text, status="broken", reason=str(exc))
+    if rewritten == statement:
+        return QueryImpact(query=text, status="unchanged")
+    return QueryImpact(query=text, status="rewritten", rewritten=unparse_query(rewritten))
 
 
 def analyze_query_impact(
@@ -85,54 +144,11 @@ def analyze_query_impact(
     """Classify each query's fate under the schema change.
 
     The old schema is used to understand the query, the evolved schema to
-    check whether the original (or mechanically rewritten) text still works.
+    check whether the original (or mechanically rewritten) query still works.
     """
 
     evolved = change.apply_to_schema(schema)
-    impacts: List[QueryImpact] = []
-    for text in queries:
-        valid_before, reason_before = _query_is_valid(schema, text)
-        if not valid_before:
-            impacts.append(
-                QueryImpact(query=text, status="broken", reason=f"invalid before change: {reason_before}")
-            )
-            continue
-        # A query that reads an attribute which just became multi-valued still
-        # parses, but its result shape changes (scalar -> array); the paper's
-        # localized rewrite is to wrap the reference in unnest().
-        if isinstance(change, MakeAttributeMultiValued) and _references_attribute(
-            schema, text, change.entity, change.attribute
-        ):
-            rewritten = _rewrite_for_multivalued(text, change.attribute)
-            ok, reason = _query_is_valid(evolved, rewritten)
-            if ok and rewritten != text:
-                impacts.append(QueryImpact(query=text, status="rewritten", rewritten=rewritten))
-                continue
-        valid_after, reason_after = _query_is_valid(evolved, text)
-        if valid_after:
-            impacts.append(QueryImpact(query=text, status="unchanged"))
-            continue
-
-        rewritten: Optional[str] = None
-        if isinstance(change, MakeAttributeMultiValued):
-            rewritten = _rewrite_for_multivalued(text, change.attribute)
-        elif isinstance(change, RenameAttribute):
-            rewritten = _rewrite_rename(text, change.old_name, change.new_name)
-        elif isinstance(change, DropAttribute):
-            rewritten = None  # no mechanical fix: the data is gone
-        elif isinstance(change, MakeRelationshipManyToMany):
-            rewritten = None  # cardinality changes never invalidate name resolution
-
-        if rewritten is not None and rewritten != text:
-            ok, reason = _query_is_valid(evolved, rewritten)
-            if ok:
-                impacts.append(
-                    QueryImpact(query=text, status="rewritten", rewritten=rewritten)
-                )
-                continue
-            reason_after = reason
-        impacts.append(QueryImpact(query=text, status="broken", reason=reason_after))
-    return impacts
+    return [_impact(schema, evolved, change, text) for text in queries]
 
 
 def impact_summary(impacts: List[QueryImpact]) -> Dict[str, int]:

@@ -204,19 +204,6 @@ class CrudTemplates:
                 f"with key {owner_key} does not exist"
             )
 
-    def _inline_row_for_table(
-        self, entity: str, table_name: str, values: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """The subset of ``values`` whose inline placement is ``table_name``."""
-
-        row: Dict[str, Any] = {}
-        for name in self._storable_names(entity):
-            placement = self.access._attribute_placement(entity, name)
-            if placement.kind in ("inline", "inline_array") and placement.table == table_name:
-                if name in values:
-                    row[placement.column] = values[name]
-        return row
-
     def _insert_delta_or_plain(
         self,
         entity: str,

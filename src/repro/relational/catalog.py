@@ -57,16 +57,6 @@ class Catalog:
     def table_names(self) -> List[str]:
         return sorted(self._tables)
 
-    def rename_table(self, old: str, new: str) -> None:
-        if old not in self._tables:
-            raise CatalogError(f"table {old!r} does not exist")
-        if new in self._tables:
-            raise CatalogError(f"table {new!r} already exists")
-        table = self._tables.pop(old)
-        table.schema.name = new
-        self._tables[new] = table
-        self._constraints[new] = self._constraints.pop(old)
-
     # -- constraints -----------------------------------------------------------
 
     def add_constraint(self, table_name: str, constraint: Constraint) -> None:
@@ -76,9 +66,6 @@ class Catalog:
 
     def constraints_for(self, table_name: str) -> List[Constraint]:
         return list(self._constraints.get(table_name, ()))
-
-    def drop_constraints(self, table_name: str) -> None:
-        self._constraints[table_name] = []
 
     # -- indexes ----------------------------------------------------------------
 

@@ -68,9 +68,6 @@ class Index:
     def lookup(self, key: Tuple[Any, ...]) -> List[int]:
         raise NotImplementedError
 
-    def contains_key(self, key: Tuple[Any, ...]) -> bool:
-        return bool(self.lookup(key))
-
     def clear(self) -> None:
         raise NotImplementedError
 

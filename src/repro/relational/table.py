@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from operator import itemgetter
 
@@ -526,30 +526,6 @@ class Table:
         self._rows[row_id] = validated
         self._stamp(row_id)
         return old, validated
-
-    def delete_where(self, predicate: Callable[[Dict[str, Any]], bool]) -> int:
-        """Delete all rows matching a Python predicate; returns count deleted."""
-
-        deleted = 0
-        for row_id, row in list(self.rows_with_ids()):
-            if predicate(row):
-                self.delete_row(row_id)
-                deleted += 1
-        return deleted
-
-    def update_where(
-        self,
-        predicate: Callable[[Dict[str, Any]], bool],
-        changes_fn: Callable[[Dict[str, Any]], Dict[str, Any]],
-    ) -> int:
-        """Update all rows matching a predicate; returns count updated."""
-
-        updated = 0
-        for row_id, row in list(self.rows_with_ids()):
-            if predicate(row):
-                self.update_row(row_id, changes_fn(row))
-                updated += 1
-        return updated
 
     def truncate(self) -> None:
         # replace, never clear: a snapshot build may be reading the old list

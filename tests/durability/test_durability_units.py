@@ -204,7 +204,7 @@ def test_spec_serialization_roundtrip():
 
 
 # --------------------------------------------------------------------------
-# Statement-level undo / WAL batching (the delete_where/update_where satellite)
+# Statement-level undo / WAL batching (Database.delete / update with a row predicate)
 # --------------------------------------------------------------------------
 
 

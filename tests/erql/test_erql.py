@@ -306,6 +306,18 @@ class TestPlannerExecution:
         )
         assert all(r["advisees"] >= 1 for r in result.rows)
 
+    @pytest.mark.parametrize("executor", ["batch", "row"])
+    def test_an_aliased_group_by_key_keeps_its_alias(self, university_system, executor):
+        plain = university_system.query(
+            "select city, count(*) as n from person group by city", executor=executor
+        )
+        aliased = university_system.query(
+            "select city as c, city as d, count(*) as n from person group by city",
+            executor=executor,
+        )
+        assert aliased.columns == ["c", "d", "n"]
+        assert aliased.sorted_tuples() == [(c, c, n) for c, n in plain.sorted_tuples()]
+
     def test_nested_output_array_agg_struct(self, university_system):
         result = university_system.query(
             "select s.person_id, array_agg(struct(sec.sec_id as sec_id, takes.grade as grade)) as courses "

@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.core import Attribute, EntitySet, Participant, RelationshipSet
+from repro.core import Attribute, EntityInstance, EntitySet, Participant, RelationshipSet
 from repro.errors import SerializationError
 from repro.evolution import (
     AddAttribute,
@@ -33,9 +33,10 @@ from repro.evolution import (
     RenameAttribute,
 )
 from repro.evolution.migration import _extract_instances
+from repro.evolution.online import OnlineMigrator
 from repro import ErbiumDB
 from repro.erql import Planner
-from repro.mapping import named_mapping
+from repro.mapping import CrudTemplates, named_mapping
 from repro.workloads.synthetic import (
     build_synthetic_schema,
     generate_synthetic_data,
@@ -288,13 +289,15 @@ def test_reads_inside_the_flip_see_one_whole_layout(source, target, monkeypatch)
             assert answer in (before[door], after[door]), door
 
 
-def test_remap_with_concurrent_writer_matches_offline_with_same_writes():
+def test_remap_with_concurrent_writer_matches_offline_with_same_writes(monkeypatch):
     """Writes captured by the changelog == the same writes applied quiesced.
 
-    A writer session updates/deletes/inserts against the online system while
-    it remaps M1→M6; every write that committed (stale-template losers are
-    retried, so all of them) is then applied to a quiesced copy *before* its
-    offline migration.  Both worlds must converge to identical content.
+    A writer thread updates/deletes/inserts against the online system while
+    it remaps M1→M6.  The first backfill batch holds the migration until
+    half the writes committed, so those are captured; the rest race the
+    backfill, the drain and the flip (stale-template losers are retried).
+    Every write is then applied to a quiesced copy *before* its offline
+    migration.  Both worlds must converge to identical content.
     """
 
     online = _synthetic_system("M1")
@@ -322,10 +325,20 @@ def test_remap_with_concurrent_writer_matches_offline_with_same_writes():
         ]
     )
     committed: list = []
-    started = threading.Event()
+    backfilling = threading.Event()
+    half_committed = threading.Event()
+    log_batch = OnlineMigrator._log_batch
+
+    def held_first_batch(migrator, kind, count, detail):
+        log_batch(migrator, kind, count, detail)
+        if not backfilling.is_set():
+            backfilling.set()
+            assert half_committed.wait(timeout=60), "the writer stalled"
+
+    monkeypatch.setattr(OnlineMigrator, "_log_batch", held_first_batch)
 
     def writer():
-        started.set()
+        assert backfilling.wait(timeout=60), "the migration never started"
         for op, key, payload in ops:
             for attempt in (1, 2):
                 try:
@@ -341,13 +354,17 @@ def test_remap_with_concurrent_writer_matches_offline_with_same_writes():
                     # the flip closed the changelog mid-write; the statement
                     # rolled back — retry resolves the new templates
                     assert attempt == 1
+            if len(committed) * 2 >= len(ops):
+                half_committed.set()
 
     thread = threading.Thread(target=writer)
     thread.start()
-    started.wait()
     report = online.migrate_online(new_spec=target_spec, batch_size=3)
-    thread.join()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the writer did not finish"
     assert len(committed) == len(ops)  # every write committed exactly once
+    assert report.changelog_captured >= len(ops) // 2
+    assert report.changelog_applied == report.changelog_captured
     assert report.reconcile is not None and report.reconcile.ok
 
     # replay the same writes on the quiesced copy, then migrate offline
@@ -366,3 +383,126 @@ def test_remap_with_concurrent_writer_matches_offline_with_same_writes():
     assert _canonical_content(online.schema, online.mapping, online.db) == (
         _canonical_content(new_schema, new_mapping, new_db)
     )
+
+
+# --------------------------------------------------------------------------
+# Deterministic capture: writes between backfill batches
+# --------------------------------------------------------------------------
+
+# ``a`` and ``b`` both have a ``city``: a change to ``a.city`` (inherited by
+# ``a_sub``) must leave ``b.city`` alone, in the backfill and in the replay.
+TWO_CITIES_DDL = """
+create entity a (id int primary key, city varchar, street varchar);
+create entity a_sub subclass of a (extra varchar);
+create entity b (id int primary key, city varchar);
+create relationship ab between a (many) and b (many);
+"""
+
+
+def _two_cities_system() -> ErbiumDB:
+    system = ErbiumDB("two-cities")
+    system.execute_ddl(TWO_CITIES_DDL)
+    system.set_mapping()
+    for i in range(8):
+        system.insert("a", {"id": i, "city": f"c{i}", "street": f"s{i}"})
+    for i in range(8, 11):
+        system.insert("a_sub", {"id": i, "city": f"c{i}", "street": f"s{i}", "extra": f"e{i}"})
+    for i in range(4):
+        system.insert("b", {"id": i, "city": f"b{i}"})
+    for i in range(6):
+        system.link("ab", {"a": i, "b": i % 4})
+    return system
+
+
+def _rolled_back_session(system):
+    session = system.session()
+    session.begin()
+    session.insert("a", {"id": 102, "city": "ghost", "street": "nowhere"})
+    session.update("b", 0, {"city": "ghost"})
+    session.rollback()
+
+
+#: write groups, one per backfill batch; each write is one changelog entry
+CAPTURED_WRITES = [
+    lambda s: (
+        s.insert("a", {"id": 100, "city": "new", "street": "n"}),
+        s.insert("a_sub", {"id": 101, "city": "new-sub", "street": "m", "extra": "x"}),
+    ),
+    lambda s: (
+        s.update("a", 1, {"city": "moved", "street": "t"}),
+        s.update("a_sub", 9, {"city": "sub-moved"}),
+        s.update("b", 1, {"city": "b-moved"}),
+        s.update("a", 5, {"city": None}),
+    ),
+    lambda s: (s.delete("a", 2), s.delete("b", 3)),
+    lambda s: (s.link("ab", {"a": 7, "b": 0}), s.unlink("ab", {"a": 0, "b": 0})),
+    _rolled_back_session,
+]
+COMMITTED_ENTRIES, ROLLED_BACK_ENTRIES = 10, 2
+
+CAPTURE_CHANGES = [
+    ("rename_attribute", lambda: RenameAttribute("a", "city", "town")),
+    ("make_multivalued", lambda: MakeAttributeMultiValued("a", "city")),
+    ("drop_attribute", lambda: DropAttribute("a", "city")),
+    ("drop_relationship", lambda: DropRelationship("ab")),
+]
+
+
+@pytest.mark.parametrize(
+    "label,make_change", CAPTURE_CHANGES, ids=[c[0] for c in CAPTURE_CHANGES]
+)
+def test_writes_between_backfill_batches_match_offline(label, make_change, monkeypatch):
+    online = _two_cities_system()
+    offline = _two_cities_system()
+    old_templates = online.crud
+
+    pending = list(CAPTURED_WRITES)
+    log_batch = OnlineMigrator._log_batch
+
+    def write_between_batches(migrator, kind, count, detail):
+        log_batch(migrator, kind, count, detail)
+        # the "changelog" calls run under the writer lock: leave them be
+        if kind in ("entities", "relationships") and pending:
+            pending.pop(0)(migrator.system)
+
+    monkeypatch.setattr(OnlineMigrator, "_log_batch", write_between_batches)
+    report = online.migrate_online(change=make_change(), batch_size=3)
+    monkeypatch.undo()
+    assert not pending, "fewer backfill batches than write groups"
+    assert report.changelog_captured == COMMITTED_ENTRIES + ROLLED_BACK_ENTRIES
+    assert report.changelog_applied == COMMITTED_ENTRIES
+    assert report.reconcile is not None and report.reconcile.ok
+
+    for writes in CAPTURED_WRITES:
+        writes(offline)
+    migrator = Migrator(offline.schema, offline.active_mapping(), offline.db)
+    new_schema, new_mapping, new_db, _ = migrator.migrate(change=make_change())
+    assert _canonical_content(online.schema, online.mapping, online.db) == (
+        _canonical_content(new_schema, new_mapping, new_db)
+    )
+    assert online.get("b", 1) == {"id": 1, "city": "b-moved"}
+    assert online.get("a", 102) is None
+
+    # a straggler on the pre-flip templates must retry against the new layout
+    with pytest.raises(SerializationError):
+        old_templates.insert_entity(EntityInstance("b", {"id": 50, "city": "late"}))
+    online.insert("b", {"id": 50, "city": "late"})
+    assert online.get("b", 50) == {"id": 50, "city": "late"}
+
+
+@pytest.mark.parametrize("online", [True, False], ids=["online", "offline"])
+def test_drop_attribute_keeps_a_same_named_attribute_of_another_entity(online):
+    system = _two_cities_system()
+    change = DropAttribute("a", "city")
+    if online:
+        report = system.migrate_online(change=change)
+        get = system.get
+    else:
+        migrator = Migrator(system.schema, system.active_mapping(), system.db)
+        schema, mapping, db, report = migrator.migrate(change=change)
+        crud = CrudTemplates(schema, mapping, db)
+        get = lambda entity, key: crud.get_entity(entity, (key,)).values  # noqa: E731
+    assert report.dropped_values == 11  # a's eight and a_sub's three cities
+    assert get("b", 1) == {"id": 1, "city": "b1"}
+    assert get("a", 1) == {"id": 1, "street": "s1"}
+    assert get("a_sub", 9) == {"id": 9, "street": "s9", "extra": "e9"}

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ApiService
+from repro.durability.snapshot import spec_to_dict
 from repro.errors import EvolutionError
 from repro.evolution import FIXUP, MANUAL, MISMATCH, OK, apply_fixups, reconcile
+from repro.mapping import named_mapping
+from repro.workloads.university import build_university_schema
 from repro.relational.types import Column
 from tests.conftest import build_university_system
 
@@ -33,7 +37,6 @@ class TestTaxonomy:
 
     def test_reconcile_without_mapping_raises(self):
         from repro import ErbiumDB
-        from repro.workloads.university import build_university_schema
 
         system = ErbiumDB("bare", build_university_schema())
         with pytest.raises(EvolutionError):
@@ -150,3 +153,73 @@ class TestSystemSurface:
         described = report.describe()
         assert described["ok"] is True
         assert set(described["counts"]) == {OK, MISMATCH, FIXUP, MANUAL}
+
+
+M3_SPEC = spec_to_dict(named_mapping(build_university_schema(), "M3"))
+
+
+class TestAdminMigrateEndpoint:
+    """``POST /admin/migrate``: an online migration to a spec, or reconcile only."""
+
+    QUERY = "select p.person_id, p.city from person p"
+
+    def test_spec_migration_reports_a_reconcile(self):
+        system = build_university_system(students=6, instructors=2, courses=2)
+        before = system.query(self.QUERY).sorted_tuples()
+        response = ApiService(system).post("/admin/migrate", {"spec": M3_SPEC, "batch_size": 4})
+        assert response.status == 200
+        migration = response.body["migration"]
+        assert migration["mapping"] == system.mapping.name
+        assert migration["backfill_batches"] > 1
+        assert migration["reconcile"]["ok"] is True
+        assert system.mapping.entity_placement("student").kind == "single_table"
+        assert system.query(self.QUERY).sorted_tuples() == before
+
+    def test_reconcile_only_reports_without_repairing(self):
+        system = build_university_system(students=6, instructors=2, courses=2)
+        system.db.catalog.put_metadata("active_mapping", {"name": "stale"})
+        response = ApiService(system).post("/admin/migrate", {"reconcile_only": True})
+        assert response.status == 200
+        assert response.body["fixups_applied"] == 0
+        assert response.body["reconcile"]["ok"] is False
+        assert system.db.catalog.get_metadata("active_mapping") == {"name": "stale"}
+
+    def test_reconcile_only_applies_the_named_tiers(self):
+        system = build_university_system(students=6, instructors=2, courses=2)
+        system.db.catalog.drop_table("takes")  # guarded fixup
+        system.db.catalog.put_metadata("active_mapping", {"name": "stale"})  # safe
+        service = ApiService(system)
+        response = service.post(
+            "/admin/migrate", {"reconcile_only": True, "apply_fixups": ["safe"]}
+        )
+        assert response.status == 200
+        assert response.body["fixups_applied"] == 1
+        after = reconcile(system)
+        assert not _findings(after, "catalog_metadata")
+        assert _findings(after, "missing_table")
+        unknown = service.post(
+            "/admin/migrate", {"reconcile_only": True, "apply_fixups": ["yolo"]}
+        )
+        assert unknown.status == 400
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ({"spec": {"name": "M3", "colour": "blue"}}, "unknown mapping spec fields"),
+            ({"spec": "M3"}, "'spec' must be"),
+            ({"spec": M3_SPEC, "batch_size": 0}, "'batch_size' must be"),
+            ({"spec": M3_SPEC, "batch_size": True}, "'batch_size' must be"),
+            ({"reconcile_only": "yes"}, "'reconcile_only' must be"),
+            ({"reconcile_only": True, "apply_fixups": "safe"}, "'apply_fixups' must be"),
+        ],
+        ids=["unknown_field", "spec_not_object", "batch_size_zero", "batch_size_bool",
+             "reconcile_only_not_bool", "apply_fixups_not_list"],
+    )
+    def test_bad_requests_are_400(self, body, message):
+        system = build_university_system(students=6, instructors=2, courses=2)
+        mapping = system.mapping
+        response = ApiService(system).post("/admin/migrate", body)
+        assert response.status == 400
+        assert response.body["error"]["code"] == "validation"
+        assert message in response.body["error"]["message"]
+        assert system.mapping is mapping  # nothing migrated
