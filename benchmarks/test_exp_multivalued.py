@@ -44,7 +44,8 @@ class TestE2SingleAttributeUnnest:
 class TestE3PointLookup:
     def test_e3_direction(self, systems, benchmark):
         outcomes = _run_and_check(systems, "E3", benchmark, "M2")
-        # the r_id index is only usable under M2 (it is the physical key there)
+        # both layouts probe an r_id index (M1's is the side tables' owner key);
+        # M2 still wins by reading the arrays off one row instead of joining
         assert all(o.direction_reproduced for o in outcomes), outcomes
 
     def test_e3_m1_side_table_scan(self, systems, benchmark):

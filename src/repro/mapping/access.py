@@ -174,15 +174,26 @@ class AccessPathBuilder:
         key_equals: Optional[Dict[str, Any]],
         key_names: Sequence[str],
     ) -> PlanNode:
-        """Scan or index-lookup a physical table, qualified by ``alias``."""
+        """Scan or index-lookup a physical table, qualified by ``alias``.
 
-        if key_equals and set(key_equals) == set(key_names):
-            table = self.db.catalog.table(table_name)
-            columns = tuple(key_columns)
-            key = tuple(key_equals[name] for name in key_names)
-            if table.index_prefix(columns) is not None:
-                return IndexLookup(table_name, columns, [key], alias=alias)
-        return SeqScan(table_name, alias=alias)
+        A full key is an ``IndexLookup`` when an index on exactly
+        ``key_columns`` answers it (``Table.index_on``, the rule the
+        executor applies), else a scan filtered on the key.
+        """
+
+        scan = SeqScan(table_name, alias=alias)
+        if not key_equals or set(key_equals) != set(key_names):
+            return scan
+        columns = tuple(key_columns)
+        key = tuple(key_equals[name] for name in key_names)
+        if self.db.catalog.table(table_name).index_on(columns) is not None:
+            return IndexLookup(table_name, columns, [key], alias=alias)
+        return Filter(
+            scan,
+            conjunction(
+                [eq(col(f"{alias}.{c}"), _value_expr(v)) for c, v in zip(columns, key)]
+            ),
+        )
 
     def _rename_for(
         self, entity: str, alias: str, table_alias: str, attributes: Sequence[str]
@@ -340,20 +351,13 @@ class AccessPathBuilder:
         if placement.table is None:
             raise PlanningError(f"entity {entity!r} has no co-stored table")
         key_names = self._key_names(entity)
-        plan: PlanNode = SeqScan(placement.table, alias=alias)
+        plan = self._base_scan(
+            placement.table, alias, placement.key_columns, key_equals, key_names
+        )
         presence = [
             Not(IsNull(col(f"{alias}.{column}"))) for column in placement.key_columns
         ]
         plan = Filter(plan, And(presence))
-        if key_equals and set(key_equals) == set(key_names):
-            condition = conjunction(
-                [
-                    eq(col(f"{alias}.{column}"), _value_expr(key_equals[name]))
-                    for name, column in zip(key_names, placement.key_columns)
-                ]
-            )
-            if condition is not None:
-                plan = Filter(plan, condition)
         plan = Distinct(plan, columns=[f"{alias}.{c}" for c in placement.key_columns])
         renames: Dict[str, str] = {}
         for attribute in requested:
@@ -414,7 +418,7 @@ class AccessPathBuilder:
                 side_table = self.db.catalog.table(placement.table)
                 if (
                     all(k in key_equals for k in owner_columns)
-                    and side_table.index_prefix(owner_columns) is not None
+                    and side_table.index_on(owner_columns) is not None
                 ):
                     side_scan = IndexLookup(
                         placement.table,

@@ -481,13 +481,14 @@ class CrudTemplates:
         key_values = tuple(key_equals[k] for k in key_names)
 
         if placement.kind in ("inline", "inline_array"):
-            entity_placement = self.mapping.entity_placement(entity)
-            table_name = placement.table
-            if entity_placement.kind == "disjoint_table":
-                table_name = entity_placement.table
-            key_columns = self._key_columns_on_table(entity, table_name)
-            for row_id in self._row_ids(table_name, key_columns, key_values):
-                self.db.update_row(table_name, row_id, {placement.column: value})
+            tables = [placement.table]
+            if self.mapping.entity_placement(entity).kind == "disjoint_table":
+                # the row sits in the table of the instance's most specific type
+                tables = self._fk_tables(entity)
+            for table_name in tables:
+                key_columns = self._key_columns_on_table(entity, table_name)
+                for row_id in self._row_ids(table_name, key_columns, key_values):
+                    self.db.update_row(table_name, row_id, {placement.column: value})
             return
 
         if placement.kind == "side_table":
@@ -927,8 +928,8 @@ class CrudTemplates:
 
         key_equals = self._key_dict(from_entity, key)
         source = tuple(key_equals.values())
-        # Access paths that cannot push the key down (nested owners, co-stored
-        # wide tables, unindexed keys) return the whole population.
+        # Access paths that cannot push the key down (nested owners) return
+        # the whole population.
         return [
             dst
             for src, dst in self._joined_pairs(relationship, from_entity, key_equals)

@@ -396,6 +396,8 @@ class MappingCompiler:
             },
             description=f"Base table for weak entity set {entity.name!r}",
         )
+        # the owner-key prefix addresses an owner's dependants
+        table.add_index(owner_key)
         self.mapping.add_table(table)
         self.mapping.place_entity(
             EntityPlacement(
@@ -406,8 +408,6 @@ class MappingCompiler:
             )
         )
         self._inline_attribute_placements(entity, table.name, key_names)
-        # Owner-key columns double as the placement of the identifying link.
-        del owner_key  # documented above; nothing further needed
 
     def _place_weak_nested(self, entity: WeakEntitySet) -> None:
         owner_placement = self.mapping.entity_placement(entity.owner)
@@ -516,9 +516,12 @@ class MappingCompiler:
             columns=columns,
             primary_key=(),
             covers=covers,
-            indexes=[tuple(cols) for cols in role_columns.values()],
             description=f"Co-stored (pre-joined) table for relationship {rel_name!r}",
         )
+        # each role's key addresses its entity; their union, one pair
+        for cols in role_columns.values():
+            table.add_index(cols)
+        table.add_index([c for cols in role_columns.values() for c in cols])
         self.mapping.add_table(table)
         self.mapping.place_relationship(
             RelationshipPlacement(
@@ -672,6 +675,7 @@ class MappingCompiler:
             covers={attribute_node(owner, attribute.name), entity_node(owner)},
             description=f"Side table for multi-valued attribute {owner}.{attribute.name}",
         )
+        table.add_index(key_names)
         self.mapping.add_table(table)
         self.mapping.place_attribute(
             AttributePlacement(
@@ -759,6 +763,7 @@ class MappingCompiler:
             for (key_name, dtype), fk_name in zip(one_key_defs, fk_columns):
                 if not table.has_column(fk_name):
                     table.add_column(Column(fk_name, dtype, nullable=True))
+            table.add_index(fk_columns)
             for attribute in relationship.attributes:
                 if attribute.is_derived():
                     continue

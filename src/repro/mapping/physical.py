@@ -76,6 +76,13 @@ class PhysicalTable:
             )
         self.columns.append(column)
 
+    def add_index(self, columns: Sequence[str]) -> None:
+        """Index ``columns`` unless the primary key or another index already is."""
+
+        columns = tuple(columns)
+        if columns != tuple(self.primary_key) and columns not in self.indexes:
+            self.indexes.append(columns)
+
 
 @dataclass
 class EntityPlacement:

@@ -93,21 +93,16 @@ class CostModel:
             stats = self._stats(node.table_name)
             keys = len(list(node.keys))
             table = self._db.catalog.table(node.table_name)
-            has_index = table.index_prefix(tuple(node.columns)) is not None
-            if has_index:
+            # the same rule Table.lookup follows: no exact index, a scan per key
+            if table.index_on(tuple(node.columns)) is not None:
                 per_key = INDEX_LOOKUP_COST
-                rows_per_key = max(
-                    stats.row_count
-                    * stats.column(node.columns[0]).selectivity_equals(stats.row_count),
-                    1.0,
-                )
             else:
                 per_key = stats.row_count * SCAN_COST
-                rows_per_key = max(
-                    stats.row_count
-                    * stats.column(node.columns[0]).selectivity_equals(stats.row_count),
-                    1.0,
-                )
+            rows_per_key = max(
+                stats.row_count
+                * stats.column(node.columns[0]).selectivity_equals(stats.row_count),
+                1.0,
+            )
             return CostEstimate(rows_per_key * keys, per_key * keys)
 
         if isinstance(node, ops.ValuesScan):

@@ -2,10 +2,9 @@
 
 Two index kinds are provided:
 
-* :class:`HashIndex` — equality lookups, the workhorse for primary keys and
-  foreign-key joins.  This is what makes the paper's E3 experiment (point
-  lookup of a multi-valued attribute by key) fast under mapping M2 where the
-  key actually is a key of the physical table.
+* :class:`HashIndex` — equality lookups, the workhorse for primary keys,
+  foreign-key joins and every other column set the mapper derives an index
+  for (side-table owner keys, weak-entity owner keys, foreign-key folds).
 * :class:`SortedIndex` — range lookups over an ordered key, kept as a sorted
   list of (key, row id) pairs and searched with :mod:`bisect`.
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 def _key_of(row: Dict[str, Any], columns: Sequence[str]) -> Tuple[Any, ...]:
@@ -73,18 +72,26 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality index: key -> list of row ids.
+    """Equality index: key -> row ids, in slot order.
 
-    Single-column indexes bucket on the bare column value instead of a
-    1-tuple; that removes one tuple allocation from every insert, delete and
-    probe on the most common index shape (primary keys).  The public API
-    still speaks key *tuples*; only :meth:`key_view` exposes the internal
-    scalar keys, and documents it.
+    Postings come back in the order a scan would meet the rows, so an
+    ``IndexLookup`` and the ``SeqScan`` it replaces agree on row order
+    (an aggregated multi-valued attribute reads back in insertion order).
+    Appends keep that order for free; an undo re-insert or a replayed slot
+    lands below the bucket's tail and is placed by binary search.
+
+    A key with one posting maps to the bare row id, and gets a list only
+    on its second: every primary-key entry is then one dict slot, not a
+    slot plus a list.  Single-column indexes bucket on the bare column
+    value instead of a 1-tuple; that removes one tuple allocation from
+    every insert, delete and probe on the most common index shape (primary
+    keys).  The public API still speaks key *tuples*; only :meth:`key_view`
+    exposes the internal scalar keys, and documents it.
     """
 
     def __init__(self, definition: IndexDefinition) -> None:
         super().__init__(definition)
-        self._buckets: Dict[Any, List[int]] = {}
+        self._buckets: Dict[Any, Union[int, List[int]]] = {}
         self._single: Optional[str] = (
             definition.columns[0] if len(definition.columns) == 1 else None
         )
@@ -94,8 +101,20 @@ class HashIndex(Index):
             return row[self._single]
         return _key_of(row, self.columns)
 
+    def _add(self, key: Any, row_id: int) -> None:
+        buckets = self._buckets
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = row_id
+        elif type(bucket) is not list:
+            buckets[key] = [bucket, row_id] if bucket < row_id else [row_id, bucket]
+        elif bucket[-1] > row_id:
+            bisect.insort(bucket, row_id)
+        else:
+            bucket.append(row_id)
+
     def insert(self, row_id: int, row: Dict[str, Any]) -> None:
-        self._buckets.setdefault(self._key(row), []).append(row_id)
+        self._add(self._key(row), row_id)
 
     def insert_batch(self, start_row_id: int, rows: Sequence[Dict[str, Any]]) -> None:
         column = self._single
@@ -117,21 +136,16 @@ class HashIndex(Index):
         """
 
         buckets = self._buckets
-        # Fully C-level posting build: zip(range(...)) yields (row_id,)
-        # tuples, map(list, ...) turns each into a fresh one-element bucket.
-        fresh = dict(
-            zip(keys, map(list, zip(range(start_row_id, start_row_id + len(keys)))))
-        )
+        row_ids = range(start_row_id, start_row_id + len(keys))
+        fresh = dict(zip(keys, row_ids))
         if len(fresh) == len(keys) and (
             not buckets or buckets.keys().isdisjoint(fresh)
         ):
             buckets.update(fresh)
             return
-        setdefault = buckets.setdefault
-        row_id = start_row_id
-        for key in keys:
-            setdefault(key, []).append(row_id)
-            row_id += 1
+        add = self._add
+        for key, row_id in zip(keys, row_ids):
+            add(key, row_id)
 
     def key_view(self):
         """Set-like view of the stored keys (O(1) membership tests).
@@ -146,19 +160,22 @@ class HashIndex(Index):
     def delete(self, row_id: int, row: Dict[str, Any]) -> None:
         key = self._key(row)
         bucket = self._buckets.get(key)
-        if not bucket:
+        if type(bucket) is not list:
+            if bucket == row_id:
+                del self._buckets[key]
             return
         try:
             bucket.remove(row_id)
         except ValueError:
             return
-        if not bucket:
-            del self._buckets[key]
+        if len(bucket) == 1:
+            self._buckets[key] = bucket[0]
 
     def lookup(self, key: Tuple[Any, ...]) -> List[int]:
-        if self._single is not None:
-            return list(self._buckets.get(key[0], ()))
-        return list(self._buckets.get(tuple(key), ()))
+        bucket = self._buckets.get(key[0] if self._single is not None else tuple(key))
+        if bucket is None:
+            return []
+        return list(bucket) if type(bucket) is list else [bucket]
 
     def keys(self) -> Iterator[Tuple[Any, ...]]:
         if self._single is not None:
@@ -169,7 +186,7 @@ class HashIndex(Index):
         self._buckets.clear()
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return sum(len(b) if type(b) is list else 1 for b in self._buckets.values())
 
 
 class SortedIndex(Index):

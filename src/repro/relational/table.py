@@ -84,18 +84,16 @@ class Table:
         return dict(self._indexes)
 
     def index_on(self, columns: Tuple[str, ...]) -> Optional[Index]:
-        """The first index whose key is exactly ``columns`` (order-sensitive)."""
+        """The first index whose key is exactly ``columns`` (order-sensitive).
+
+        The one rule for whether an index answers an equality probe: the
+        access builder and the cost model ask it before planning an
+        ``IndexLookup``, and :meth:`lookup` / :meth:`lookup_ids` ask it
+        before falling back to a scan.
+        """
 
         for index in self._indexes.values():
             if index.columns == tuple(columns):
-                return index
-        return None
-
-    def index_prefix(self, columns: Tuple[str, ...]) -> Optional[Index]:
-        """An index whose leading columns match ``columns``; used by the planner."""
-
-        for index in self._indexes.values():
-            if index.columns[: len(columns)] == tuple(columns):
                 return index
         return None
 
@@ -521,8 +519,9 @@ class Table:
         merged.update(changes)
         validated = self.schema.validate_row(merged)
         for index in self._indexes.values():
-            index.delete(row_id, old)
-            index.insert(row_id, validated)
+            if any(old[c] != validated[c] for c in index.columns):
+                index.delete(row_id, old)
+                index.insert(row_id, validated)
         self._rows[row_id] = validated
         self._stamp(row_id)
         return old, validated

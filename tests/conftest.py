@@ -11,6 +11,7 @@ import pytest
 
 from repro import ErbiumDB
 from repro.relational import Database
+from repro.relational.table import Table
 from repro.workloads.synthetic import (
     build_synthetic_schema,
     generate_synthetic_data,
@@ -76,6 +77,27 @@ def university_system(university_schema, university_data):
 @pytest.fixture()
 def empty_db():
     return Database("test")
+
+
+@pytest.fixture()
+def table_scans(monkeypatch):
+    """Names of the tables walked row by row while the test runs.
+
+    Every ``Table.rows`` / ``rows_with_ids`` / ``scan`` call is recorded:
+    the walk a key lookup falls back to when no index is on exactly its
+    columns, and the row executor's sequential scans.  ``del
+    table_scans[:]`` opens a new window.
+    """
+
+    scans = []
+    for name in ("rows", "rows_with_ids", "scan"):
+
+        def counted(table, _walk=getattr(Table, name)):
+            scans.append(table.name)
+            return _walk(table)
+
+        monkeypatch.setattr(Table, name, counted)
+    return scans
 
 
 def build_university_system(students: int = 20, instructors: int = 4, courses: int = 6,

@@ -10,14 +10,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ErbiumDB
 from repro.api import ApiService
 from repro.durability.snapshot import spec_to_dict
 from repro.errors import EvolutionError
 from repro.evolution import FIXUP, MANUAL, MISMATCH, OK, apply_fixups, reconcile
 from repro.mapping import named_mapping
+from repro.workloads.synthetic import (
+    build_synthetic_schema,
+    generate_synthetic_data,
+    synthetic_mappings,
+)
 from repro.workloads.university import build_university_schema
 from repro.relational.types import Column
-from tests.conftest import build_university_system
+from tests.conftest import MAPPING_LABELS, build_university_system
 
 
 def _findings(report, category):
@@ -101,6 +107,77 @@ class TestTaxonomy:
         report = reconcile(system)
         [finding] = _findings(report, "catalog_metadata")
         assert finding.decision == FIXUP and finding.safety == "safe"
+
+
+def _synthetic_system(label, path=None):
+    schema = build_synthetic_schema()
+    if path is None:
+        system = ErbiumDB(label, schema)
+    else:
+        system = ErbiumDB.open(path, name=label, schema=schema)
+    system.set_mapping(synthetic_mappings(schema)[label])
+    generate_synthetic_data(scale=12, seed=3).load_into(system)
+    return system
+
+
+def _assert_derived_indexes_installed(system):
+    report = reconcile(system)
+    assert report.ok, [f.detail for f in report.findings if f.decision != OK]
+    for spec_table in system.mapping.tables.values():
+        live = system.db.catalog.table(spec_table.name)
+        for columns in spec_table.indexes:
+            assert live.index_on(columns) is not None, (spec_table.name, columns)
+
+
+class TestDerivedIndexes:
+    """The indexes the mapper derives for CRUD's probes are part of the spec."""
+
+    @pytest.mark.parametrize("label", MAPPING_LABELS)
+    def test_set_mapping_installs_them(self, label):
+        _assert_derived_indexes_installed(_synthetic_system(label))
+
+    def test_the_probed_column_sets_are_derived(self):
+        tables = {
+            label: _synthetic_system(label).mapping.tables for label in ("M1", "M4", "M6")
+        }
+        assert ("r_id",) in tables["M1"]["r_r_mv1"].indexes  # side table owner key
+        assert ("r_id",) in tables["M1"]["r_r_mv3"].indexes
+        assert ("s_id",) in tables["M1"]["s1"].indexes  # weak entity owner key
+        for name in ("r", "r1", "r2", "r3", "r4"):  # every disjoint table of the fold
+            assert ("r_s_s_id",) in tables["M4"][name].indexes
+        costored = tables["M6"]["r2_s1_costored"].indexes
+        roles = [("r2__r_id",), ("s1__s_id", "s1__s1_id")]
+        assert roles + [roles[0] + roles[1]] == costored
+
+    def test_online_migration_installs_them(self):
+        system = _synthetic_system("M1")
+        system.migrate_online(new_spec=synthetic_mappings(system.schema)["M6"], batch_size=16)
+        assert system.mapping.name == "M6"
+        _assert_derived_indexes_installed(system)
+
+    def test_recovery_installs_them(self, tmp_path):
+        path = str(tmp_path / "db")
+        system = _synthetic_system("M1", path)
+        system.checkpoint()
+        system.update("R", 0, {"r_mv1": [2, 1]})
+        del system  # crash: no close()
+        recovered = ErbiumDB.open(path)
+        try:
+            _assert_derived_indexes_installed(recovered)
+            assert recovered.get("R", 0)["r_mv1"] == [2, 1]
+        finally:
+            recovered.close()
+
+    def test_a_dropped_derived_index_is_a_safe_fixup(self):
+        system = _synthetic_system("M1")
+        live = system.db.catalog.table("r_r_mv1")
+        live.drop_index(next(n for n, i in live.indexes().items() if i.columns == ("r_id",)))
+        report = reconcile(system)
+        [finding] = _findings(report, "missing_index")
+        assert finding.table == "r_r_mv1"
+        assert finding.decision == FIXUP and finding.safety == "safe"
+        assert apply_fixups(system, report, tiers=("safe",)) == 1
+        _assert_derived_indexes_installed(system)
 
 
 class TestApplyFixups:

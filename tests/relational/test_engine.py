@@ -71,6 +71,15 @@ class TestIndexes:
         index.delete(0, {"a": 1})
         assert index.lookup((1,)) == [1]
         assert len(index) == 2
+        index.delete(1, {"a": 1})
+        assert index.lookup((1,)) == [] and len(index) == 1
+        # postings stay in slot order whatever order the slots arrive in
+        index.insert_key_batch(5, [3, 3, 2])
+        for row_id in (4, 1, 3):  # an undo re-insert lands below the tail
+            index.insert(row_id, {"a": 3})
+        assert index.lookup((3,)) == [1, 3, 4, 5, 6]
+        assert index.lookup((2,)) == [2, 7]
+        assert len(index) == 7
 
     def test_sorted_index_range(self):
         index = SortedIndex(IndexDefinition("i", "t", ("a",), kind="sorted"))
