@@ -6,7 +6,6 @@ subpackages (documented in DESIGN.md):
 
 * :mod:`repro.core` — the E/R model (entities, relationships, attributes, graph);
 * :mod:`repro.relational` — the embedded relational engine substrate;
-* :mod:`repro.storage` — the factorized storage layout of the E8 ablation;
 * :mod:`repro.erql` — the DDL + SQL-variant query language and planner;
 * :mod:`repro.mapping` — graph-cover physical mappings, CRUD templates, optimizer;
 * :mod:`repro.evolution` — schema evolution, migration, versioning;

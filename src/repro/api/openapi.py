@@ -109,8 +109,8 @@ _HANDLER_DOCS: Dict[str, Dict[str, Any]] = {
                         "type": "object",
                         "description": "Serialized mapping spec (the format "
                         "checkpoints use) to migrate to online: WAL-logged "
-                        "lifecycle, incremental backfill, changelog capture, "
-                        "atomic flip.",
+                        "lifecycle, incremental backfill, catch-up by key "
+                        "re-copy, atomic flip.",
                     },
                     "batch_size": {
                         "type": "integer",
@@ -133,7 +133,7 @@ _HANDLER_DOCS: Dict[str, Dict[str, Any]] = {
         },
         "responses": {
             "200": {
-                "description": "The migration report (backfill/changelog "
+                "description": "The migration report (backfill/catch-up "
                 "counts, flip LSN, post-flip reconcile) — or, in "
                 "reconcile-only mode, the reconcile report with its "
                 "OK/MISMATCH/FIXUP/MANUAL findings."

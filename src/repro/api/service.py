@@ -836,7 +836,7 @@ class ApiService:
 
         ``{"spec": {...}, "batch_size": 512}`` runs the online protocol to
         the given serialized mapping spec (WAL-logged lifecycle, incremental
-        backfill, changelog capture, atomic flip) and returns the migration
+        backfill, catch-up by key re-copy, atomic flip) and returns the migration
         report including the post-flip reconcile.  Works on in-memory
         systems too — durability, when enabled, makes the flip crash-atomic.
 

@@ -15,6 +15,7 @@ Each :class:`Experiment` records:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -60,25 +61,48 @@ class Experiment:
     def run(self, systems: Mapping[str, ErbiumDB]) -> Dict[str, float]:
         """Best wall-clock seconds per compared mapping.
 
-        ``DEFAULT_WARMUP`` untimed runs, then the minimum of
-        ``DEFAULT_REPEATS`` timed runs: interruptions only ever add time, so
-        the minimum is the steady-state estimator least sensitive to
-        scheduler noise.
+        ``DEFAULT_WARMUP`` untimed rounds, then ``DEFAULT_REPEATS`` timed
+        rounds; a round runs the operation once on each compared mapping in
+        turn (A, B, A, B, ...), so a burst of noise lands on both sides
+        alike.  Each timed call starts after a ``gc.collect()`` and runs with
+        the collector off, so no mapping pays for garbage another one left;
+        what existed before the timed rounds is frozen out of those
+        collections, so each one costs only the garbage since.
+        The minimum per mapping is kept: interruptions only ever add time,
+        so it is the steady-state estimator least sensitive to scheduler
+        noise.
         """
 
         operation = self.operation or (lambda system: system.query(self.query))
-        best: Dict[str, float] = {}
-        for mapping in self.mappings:
-            system = systems[mapping]
-            for _ in range(DEFAULT_WARMUP):
+        compared = [(mapping, systems[mapping]) for mapping in self.mappings]
+        for _ in range(DEFAULT_WARMUP):
+            for _, system in compared:
                 operation(system)
-            times = []
+        best = {mapping: float("inf") for mapping, _ in compared}
+        gc.collect()
+        gc.freeze()  # the loaded systems outlive the run: keep them out of each collect
+        try:
             for _ in range(DEFAULT_REPEATS):
-                start = time.perf_counter()
-                operation(system)
-                times.append(time.perf_counter() - start)
-            best[mapping] = min(times)
+                for mapping, system in compared:
+                    best[mapping] = min(best[mapping], _timed(operation, system))
+        finally:
+            gc.unfreeze()
         return best
+
+
+def _timed(operation: Callable[[ErbiumDB], object], system: ErbiumDB) -> float:
+    """Seconds one ``operation(system)`` takes, collector drained and off."""
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        operation(system)
+        return time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

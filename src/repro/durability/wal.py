@@ -34,7 +34,7 @@ Record types
 ``migration_begin``         online-migration lifecycle marker: a migration
                             started (carries the serialized target mapping
                             spec and change description);
-``backfill_batch``          one bounded backfill (or changelog catch-up)
+``backfill_batch``          one bounded backfill (or catch-up round)
                             batch copied into the shadow database;
 ``migration_flip``          the atomic flip is about to publish — the flip
                             checkpoint that follows is the durable commit

@@ -10,7 +10,7 @@ where mechanical — auto-rewritten (:mod:`repro.evolution.query_rewrite`).
 Two companion modules make migration *operational*:
 :mod:`repro.evolution.online` runs a migration against a live system —
 WAL-logged lifecycle, incremental backfill under an MVCC read view,
-changelog capture of concurrent writes, atomic flip — and
+catch-up by re-copying written keys from committed state, atomic flip — and
 :mod:`repro.evolution.reconcile` diffs the live physical catalog against
 the mapping spec with an OK / MISMATCH / FIXUP / MANUAL taxonomy.
 """
@@ -28,7 +28,7 @@ from .changes import (
     SchemaChange,
 )
 from .migration import MigrationReport, Migrator
-from .online import MigrationChangelog, OnlineMigrationReport, OnlineMigrator
+from .online import OnlineMigrationReport, OnlineMigrator
 from .query_rewrite import QueryImpact, analyze_query_impact, impact_summary
 from .reconcile import (
     FIXUP,
@@ -57,7 +57,6 @@ __all__ = [
     "MigrationReport",
     "OnlineMigrator",
     "OnlineMigrationReport",
-    "MigrationChangelog",
     "reconcile",
     "apply_fixups",
     "ReconcileReport",

@@ -109,7 +109,7 @@ class _Carry:
     """Carries instances from the source schema to the target schema.
 
     The two steps every migration path shares — the offline
-    :class:`Migrator`, the online backfill and the online changelog replay:
+    :class:`Migrator`, the online backfill and the online catch-up re-copy:
     the change's own values transform (for entity sets it applies to), then
     the fit to the target schema, which drops the values of attributes an
     entity set no longer has and the relationships the target no longer
@@ -155,11 +155,6 @@ class _Carry:
                 1 for k, v in values.items() if k not in kept and v is not None
             )
         return fitted
-
-    def values(self, entity: str, values: Dict[str, Any]) -> Dict[str, Any]:
-        """A captured partial update of ``entity`` under the target schema."""
-
-        return self._fit(entity, self._transform(entity, values))
 
     def entities(self, instances: List[EntityInstance]) -> List[EntityInstance]:
         out = []

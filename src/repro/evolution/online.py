@@ -1,14 +1,12 @@
-"""Durable online schema evolution: backfill, changelog capture, atomic flip.
+"""Durable online schema evolution: backfill, catch-up by key re-copy, atomic flip.
 
 The offline :class:`~repro.evolution.migration.Migrator` quiesces the world:
 it rebuilds a fresh database while nothing else runs.  The
 :class:`OnlineMigrator` keeps the system serving:
 
 1. **Begin** — under the writer lock it pins an MVCC read view on the live
-   database and attaches a :class:`MigrationChangelog` to the active CRUD
-   templates *in the same critical section*, so every committed write lands
-   in exactly one of the two: the view (committed before the pin) or the
-   changelog (committed after).  A ``migration_begin`` record is WAL-logged.
+   database, which holds committed data only, and WAL-logs a
+   ``migration_begin`` record.
 2. **Backfill** — entity and relationship instances are read from the pinned
    view in bounded batches, carried to the target schema by the same two
    steps the offline migrator uses (the change's values transform, then the
@@ -16,41 +14,54 @@ it rebuilds a fresh database while nothing else runs.  The
    from the target spec.  The shadow is never WAL-logged: readers keep
    planning against the old layout the whole time, and each batch appends a
    ``backfill_batch`` marker so the on-disk log narrates progress.
-3. **Drain** — committed changelog entries are replayed onto the shadow in
-   catch-up rounds (each entry carried by the same two steps), and
-   rollback-safe capture means an aborted transaction's entries are never
-   replayed.
-4. **Flip** — holding *both* writer locks (old and shadow), the remaining
-   changelog is drained, the changelog is closed (a straggler writer that
-   captured the pre-flip templates gets
+3. **Catch-up** — each round pins a fresh view inside a short writer-lock
+   section.  The slots written since the previous view are those whose row
+   version exceeds that view's watermark; each one's pre-image (previous
+   view) and post-image (fresh view) is decoded, through the old mapping's
+   placements, into the entity keys and relationship pairs it carries, and
+   each of those is made equal in the shadow to its state in the fresh
+   view: deleted if gone, inserted if new, its changed attributes updated
+   otherwise.  Catch-up reads committed state, not operations, so it sees
+   every writer — the live templates, a service holding its own, a raw
+   ``db`` call — and a rolled-back write simply re-copies to an unchanged
+   state.  Re-copy is idempotent and order-free.
+4. **Flip** — holding *both* writer locks (old and shadow), a last round
+   runs, ``migration_flip`` is logged, the old database is *retired* (a
+   later write that reaches it — a straggler on pre-flip templates, a raw
+   write, a service built before the flip — gets the retryable
    :class:`~repro.errors.SerializationError` and retries against the new
-   layout), ``migration_flip`` is logged, the new layout (schema, spec,
-   mapping, database, templates, planner) is built and published in one
-   assignment, and a synchronous checkpoint extends the DDL barrier of
-   ``set_mapping``: its ``CURRENT`` rename is the migration's durable
-   commit point.
+   layout), the new layout (schema, spec, mapping, database, templates,
+   planner) is built and published in one assignment, and a synchronous
+   checkpoint extends the DDL barrier of ``set_mapping``: its ``CURRENT``
+   rename is the migration's durable commit point.
 
 Crash semantics are rollback-by-default: recovery before the flip
 checkpoint's rename lands on exactly the old layout (the lifecycle records
 replay as no-ops and the shadow never touched the log); after it, on exactly
 the new one.  If the flip checkpoint *fails*, the old layout object is
-published again and commits are fenced until a covering checkpoint
-publishes — whichever layout a subsequent crash recovers, its logical
-content is the flip-time content, so the "never a torn layout" property
-holds unconditionally.
+published (and un-retired) again and commits are fenced until a covering
+checkpoint publishes — whichever layout a subsequent crash recovers, its
+logical content is the flip-time content, so the "never a torn layout"
+property holds unconditionally.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from ..core import EntityInstance, ERSchema
-from ..errors import MigrationError, SerializationError
-from ..mapping import CrudTemplates, MappingSpec, check_mapping, compile_mapping, fully_normalized_spec
+from ..core import EntityInstance, ERSchema, RelationshipInstance, WeakEntitySet
+from ..errors import CrudTemplateError, MigrationError
+from ..mapping import (
+    CrudTemplates,
+    Mapping,
+    MappingSpec,
+    check_mapping,
+    compile_mapping,
+    fully_normalized_spec,
+)
 from ..relational import Database
-from ..relational.mvcc import read_view_scope
+from ..relational.mvcc import ReadView, read_view_scope
 from .changes import SchemaChange
 from .migration import _Carry, _instance_walk
 from .reconcile import ReconcileReport, reconcile
@@ -61,85 +72,133 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default number of instances copied per backfill batch.
 DEFAULT_BATCH_SIZE = 512
 
-#: Catch-up rounds before the final under-lock drain at the flip.
+#: Catch-up rounds before the last one, which the flip runs under both writer locks.
 MAX_CATCHUP_ROUNDS = 8
 
 #: Numeric phase encoding for the ``migration.phase`` gauge.
 PHASES = {"idle": 0, "begin": 1, "backfill": 2, "drain": 3, "flip": 4}
 
 
-class _ChangeEntry:
-    """One captured logical write; ``discarded`` set by transaction rollback."""
-
-    __slots__ = ("op", "args", "discarded")
-
-    def __init__(self, op: str, args: Any) -> None:
-        self.op = op
-        self.args = args
-        self.discarded = False
-
-    def discard(self) -> None:
-        self.discarded = True
+#: ``("entity", hierarchy root, key)`` or ``("pair", relationship, left key,
+#: right key)``: one logical instance a physical row carries.
+Identity = Tuple[Any, ...]
 
 
-class MigrationChangelog:
-    """Rollback-safe logical capture of writes committed during a backfill.
+def _key(row: Dict[str, Any], columns: Tuple[str, ...]) -> Optional[Tuple[Any, ...]]:
+    key = tuple(row.get(c) for c in columns)
+    return None if None in key else key
 
-    ``record`` is called by the CRUD templates inside the write's
-    transaction scope: the entry is appended under the changelog lock and an
-    undo callback (:meth:`_ChangeEntry.discard`) is registered on the
-    transaction, so a rollback — full or to a statement savepoint — marks
-    the entry discarded and :meth:`drain` never returns it.  Once
-    :meth:`close` ran (at the flip), any further ``record`` raises
-    :class:`~repro.errors.SerializationError`: the writer raced past the
-    flip with a stale template object, its physical writes roll back with
-    the statement, and a session-level retry resolves the new templates.
+
+class _RowDecoder:
+    """Decodes a physical row of one layout into the identities it carries.
+
+    Built from the layout's placements: entity keys from own, delta,
+    single, disjoint and co-stored tables and from side-table owner keys;
+    weak keys from nested owner arrays (owner key plus each element's
+    discriminator); relationship pairs from join tables, co-stored role
+    columns and foreign-key folds.  A pair also names its two endpoints,
+    since a co-stored target keeps an entity inside its pair rows.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: List[_ChangeEntry] = []
-        self._closed = False
-        self.captured = 0
+    def __init__(self, schema: ERSchema, mapping: Mapping) -> None:
+        specs: Dict[str, Set[Tuple[Any, ...]]] = {}
 
-    def record(self, txn, op: str, args: Any) -> None:
-        entry = _ChangeEntry(op, args)
-        with self._lock:
-            if self._closed:
-                raise SerializationError(
-                    "an online schema migration flipped while this write was in "
-                    "flight; retry the statement against the new layout"
-                )
-            self._entries.append(entry)
-            self.captured += 1
-        if txn is not None and txn.active:
-            txn.record(f"migration changelog {entry.op}", entry.discard)
+        def add(table: Optional[str], spec: Tuple[Any, ...]) -> None:
+            if table is not None:
+                specs.setdefault(table, set()).add(spec)
 
-    def drain(self) -> List[_ChangeEntry]:
-        """Remove and return the committed (non-discarded) entries.
+        def root(entity: str) -> str:
+            return schema.hierarchy_root(entity).name
 
-        Call under the database writer lock with no transaction open: write
-        transactions hold the lock for their whole lifetime, so every entry
-        seen here is from a committed (or discarded) transaction.
-        """
+        for name, placement in mapping.entity_placements.items():
+            if placement.kind == "nested_in_owner":
+                owner = mapping.entity_placement(placement.owner_entity)
+                discriminator = tuple(schema.entity(name).discriminator)
+                add(owner.table, ("nested", name, tuple(owner.key_columns),
+                                  placement.array_column, discriminator))  # fmt: skip
+            else:
+                add(placement.table, ("entity", root(name), tuple(placement.key_columns)))
+        for (owner, _), placement in mapping.attribute_placements.items():
+            if placement.kind == "side_table":
+                add(placement.table, ("entity", root(owner), tuple(placement.owner_key_columns)))
+        for relationship in schema.relationships():
+            if relationship.identifying:
+                continue
+            placement = mapping.relationship_placement(relationship.name)
+            left, right = relationship.participants
+            ends = ("pair", relationship.name, root(left.entity), root(right.entity))
+            if placement.kind in ("join_table", "co_stored"):
+                columns = {role: tuple(c) for role, c in placement.role_columns.items()}
+                add(placement.table, ends + (columns[left.label], columns[right.label]))
+            elif placement.kind == "foreign_key":
+                many = relationship.participant(placement.fk_side)
+                one = relationship.other(placement.fk_side)
+                fk = tuple(placement.role_columns[one.label])
+                home = mapping.entity_placement(many.entity)
+                tables = [home.table]
+                if home.kind == "disjoint_table":
+                    tables += [mapping.entity_placement(d.name).table
+                               for d in schema.descendants_of(many.entity)]  # fmt: skip
+                for table in tables:
+                    if table is None or not all(mapping.table(table).has_column(c) for c in fk):
+                        continue
+                    if table == home.table:
+                        key = tuple(home.key_columns)
+                    else:  # a descendant's table: key columns named as attributes
+                        key = tuple(schema.effective_key(many.entity))
+                    columns = {many.label: key, one.label: fk}
+                    add(table, ends + (columns[left.label], columns[right.label]))
+        self.specs = specs
 
-        with self._lock:
-            out = [e for e in self._entries if not e.discarded]
-            self._entries = []
-        return out
+    def decode(self, table: str, row: Dict[str, Any]) -> Iterator[Identity]:
+        for spec in self.specs[table]:
+            if spec[0] == "entity":
+                key = _key(row, spec[2])
+                if key is not None:
+                    yield spec[:2] + (key,)
+            elif spec[0] == "nested":
+                _, weak, owner_columns, array_column, discriminator = spec
+                owner_key = _key(row, owner_columns)
+                if owner_key is not None:
+                    for element in row.get(array_column) or ():
+                        own = tuple(element.get(d) for d in discriminator)
+                        yield ("entity", weak, owner_key + own)
+            else:
+                _, name, left_root, right_root, left_columns, right_columns = spec
+                left, right = _key(row, left_columns), _key(row, right_columns)
+                if left is not None and right is not None:
+                    yield ("pair", name, left, right)
+                    yield ("entity", left_root, left)
+                    yield ("entity", right_root, right)
 
-    def close(self) -> List[_ChangeEntry]:
-        """Drain one final time and refuse all future records."""
 
-        with self._lock:
-            self._closed = True
-            out = [e for e in self._entries if not e.discarded]
-            self._entries = []
-        return out
+def _instance(crud: CrudTemplates, identity: Identity) -> Optional[EntityInstance]:
+    """The entity ``identity`` names, read as its most specific type (or None)."""
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    _, root, key = identity
+    for member in reversed(crud.schema.hierarchy_members(root)):  # leaves first
+        instance = crud.get_entity(member.name, key)
+        if instance is not None:
+            return instance
+    return None
+
+
+def _has_pair(crud: CrudTemplates, identity: Identity) -> bool:
+    _, name, left, right = identity
+    source = crud.schema.relationship(name).participants[0].entity
+    return right in crud.related_keys(name, source, left)
+
+
+def _endpoints(schema: ERSchema, identity: Identity) -> Dict[str, Tuple[Any, ...]]:
+    _, name, left, right = identity
+    return dict(zip(schema.relationship(name).labels(), (left, right)))
+
+
+def _owner_depth(schema: ERSchema, entity: str) -> int:
+    """0 for a strong entity, 1 + the owner's depth for a weak one."""
+
+    found = schema.entity(entity)
+    return 1 + _owner_depth(schema, found.owner) if isinstance(found, WeakEntitySet) else 0
 
 
 @dataclass
@@ -150,7 +209,10 @@ class OnlineMigrationReport:
     entities_backfilled: int = 0
     relationships_backfilled: int = 0
     backfill_batches: int = 0
+    #: catch-up: entity keys and relationship pairs decoded from the slots
+    #: written during the migration, summed over rounds
     changelog_captured: int = 0
+    #: of those, the ones the shadow did not yet match and were re-copied
     changelog_applied: int = 0
     catchup_rounds: int = 0
     entities_transformed: int = 0
@@ -209,7 +271,6 @@ class OnlineMigrator:
         self.batch_size = batch_size
         self.reconcile_after = reconcile_after
         self.report = OnlineMigrationReport()
-        self.changelog = MigrationChangelog()
         registry = system.observability.registry
         self._phase_gauge = registry.gauge("migration.phase")
         self._active_gauge = registry.gauge("migration.active")
@@ -230,7 +291,7 @@ class OnlineMigrator:
         self._progress_gauge.set(0.0)
         try:
             self._prepare_target()
-            self._begin_capture()
+            self._begin()
             try:
                 self._backfill()
                 self._catch_up()
@@ -273,21 +334,19 @@ class OnlineMigrator:
         self.carry = _Carry(
             self.change, self.old.schema, target_schema, self.report, self.transform
         )
+        self.decoder = _RowDecoder(self.old.schema, self.old.mapping)
 
-    def _begin_capture(self) -> None:
-        """Pin the read view and attach the changelog atomically.
+    def _begin(self) -> None:
+        """Pin the view the backfill copies, and log ``migration_begin``.
 
-        Both happen in one writer-lock critical section: a transaction that
-        committed before the pin is in the view and not in the changelog; one
-        that commits after blocks on the lock until the changelog is attached
-        and is captured.  No write is seen twice or lost.
+        The view is the first catch-up round's baseline: whatever commits
+        after the pin stamps its slots past the view's watermarks.
         """
 
         self._phase_gauge.set(PHASES["begin"])
         system = self.system
         with self.old.db.write_lock:
             self.view = self.old.db.begin_read_view()
-            self.old.crud.changelog = self.changelog
             if system.durability is not None:
                 from ..durability.snapshot import spec_to_dict
 
@@ -301,7 +360,6 @@ class OnlineMigrator:
                 try:
                     system.durability.log_migration(record)
                 except BaseException:
-                    self.old.crud.changelog = None
                     self.view.close()
                     raise
 
@@ -346,69 +404,152 @@ class OnlineMigrator:
                 "relationships", len(kept), batch[0].relationship_set if batch else ""
             )
 
-    # -- changelog application ---------------------------------------------
-
-    def _apply_entry(self, entry: _ChangeEntry) -> None:
-        op, args = entry.op, entry.args
-        crud, carry = self.shadow_crud, self.carry
-        if op == "insert_entity":
-            [instance] = carry.entities([args])
-            crud.insert_entity(instance)
-        elif op == "update_entity":
-            entity, key, changes = args
-            changes = carry.values(entity, changes)
-            if changes:
-                crud.update_entity(entity, key, changes)
-        elif op == "delete_entity":
-            entity, key = args
-            crud.delete_entity(entity, key)
-        elif op == "insert_relationship":
-            for instance in carry.relationships([args]):
-                crud.insert_relationship(instance)
-        elif op == "delete_relationship":
-            relationship, endpoints = args
-            if self.target_schema.has_relationship(relationship):
-                crud.delete_relationship(relationship, endpoints)
-        else:  # pragma: no cover - the templates only log the five ops above
-            raise MigrationError(f"unknown changelog op {op!r}")
-
-    def _apply_entries(self, entries: List[_ChangeEntry]) -> None:
-        for entry in entries:
-            self._apply_entry(entry)
-        self.report.changelog_applied += len(entries)
-        self._applied_counter.inc(len(entries))
+    # -- catch-up ------------------------------------------------------------
 
     def _catch_up(self) -> None:
-        """Drain committed changelog entries without blocking writers for long.
+        """Re-copy what was written since the backfill's view, in bounded rounds.
 
-        Each round takes the writer lock only for the drain itself (write
-        transactions hold the lock for their lifetime, so a drained entry is
-        always from a finished transaction) and applies entries to the
-        shadow with the lock released.  Rounds stop when a drain comes back
-        empty or after :data:`MAX_CATCHUP_ROUNDS` — the flip's final drain
-        under both locks picks up any remainder.
+        Each round holds the writer lock only to pin its view.  Rounds stop
+        when one finds nothing written, or after :data:`MAX_CATCHUP_ROUNDS`
+        — the flip's last round under both locks picks up any remainder.
         """
 
         self._phase_gauge.set(PHASES["drain"])
         for _ in range(MAX_CATCHUP_ROUNDS):
-            with self.old.db.write_lock:
-                entries = self.changelog.drain()
-            if not entries:
+            written = self._round()
+            if not written:
                 return
-            self._apply_entries(entries)
             self.report.catchup_rounds += 1
-            self._log_batch("changelog", len(entries), "catch-up")
+            self._log_batch("changelog", written, "catch-up")
+
+    def _round(self) -> int:
+        """Pin a fresh view and bring the shadow up to it; returns the
+        number of entity keys and relationship pairs decoded."""
+
+        with self.old.db.write_lock:
+            view = self.old.db.begin_read_view()
+        previous, self.view = self.view, view
+        try:
+            written = self._written(previous, view)
+        finally:
+            previous.close()
+        self._recopy(written, view)
+        self.report.changelog_captured += len(written)
+        return len(written)
+
+    def _written(self, before: ReadView, after: ReadView) -> Set[Identity]:
+        """The identities carried by slots written between two views, by
+        their pre-image (``before``) or their post-image (``after``)."""
+
+        found: Set[Identity] = set()
+        marks, now = before.watermarks(), after.watermarks()
+        for name in self.decoder.specs:
+            mark = marks[name]
+            if now[name] == mark:
+                continue
+            slots = self.old.db.catalog.table(name).written_since(mark)
+            for view in (before, after):
+                for row in view.table(name).rows_at(slots):
+                    found.update(self.decoder.decode(name, row))
+        return found
+
+    def _recopy(self, written: Set[Identity], view: ReadView) -> None:
+        """Make each identity in the shadow what it is in ``view``.
+
+        Pairs the view lacks go first, then entities the view lacks or holds
+        as another type (dependants first), then entity inserts and
+        attribute updates (owners first), then pairs the shadow lacks.  An
+        entity on both sides as the same type is updated in place, never
+        re-inserted, so relationship rows the round did not touch keep
+        their traces.  A co-stored target keeps entities inside pair rows:
+        deleting a pair or an entity there can take another entity's rows
+        with it, so pairs carry their endpoints and a deleted entity's
+        co-stored partners join the round.
+        """
+
+        old, shadow = self.old.crud, self.shadow_crud
+        target = self.target_schema
+        entities = {i for i in written if i[0] == "entity"}
+        pairs = [i for i in written if i[0] == "pair" and target.has_relationship(i[1])]
+        with read_view_scope(view):
+            sources = {identity: _instance(old, identity) for identity in entities}
+            kept = {identity for identity in pairs if _has_pair(old, identity)}
+        applied: Set[Identity] = set()
+
+        for identity in pairs:
+            if identity not in kept and _has_pair(shadow, identity):
+                shadow.delete_relationship(identity[1], _endpoints(target, identity))
+                applied.add(identity)
+        by_depth = lambda identity: _owner_depth(target, identity[1])  # noqa: E731
+        partners: Set[Identity] = set()
+        copies: Dict[Identity, Optional[EntityInstance]] = {}
+        for identity in sorted(entities, key=by_depth, reverse=True):
+            source, copy = sources[identity], _instance(shadow, identity)
+            while copy is not None and (source is None or source.entity_set != copy.entity_set):
+                partners |= self._co_stored_partners(copy.entity_set, identity[2])
+                shadow.delete_entity(copy.entity_set, identity[2])
+                applied.add(identity)
+                deleted, copy = copy.entity_set, _instance(shadow, identity)
+                if copy is not None and copy.entity_set == deleted:
+                    raise CrudTemplateError(f"could not delete {identity} from the shadow")
+            copies[identity] = copy
+        with read_view_scope(view):
+            sources.update({p: _instance(old, p) for p in partners - entities})
+        inserts: List[EntityInstance] = []
+        for identity in sorted(entities | partners, key=by_depth):
+            if sources[identity] is None:
+                continue
+            [carried] = self.carry.entities([sources[identity]])
+            # a shadow delete can take other entities' rows with it: read again
+            copy = _instance(shadow, identity) if applied else copies[identity]
+            if copy is None:
+                inserts.append(carried)
+                applied.add(identity)
+                continue
+            key_names = set(target.effective_key(copy.entity_set))
+            want, have = carried.values, copy.values
+            changes = {
+                name: want.get(name)
+                for name in want.keys() | have.keys()
+                if name not in key_names and want.get(name) != have.get(name)
+            }
+            if changes:
+                shadow.update_entity(copy.entity_set, identity[2], changes)
+                applied.add(identity)
+        shadow.insert_entities(inserts)  # owners before dependants: sorted by depth
+        for identity in kept:
+            if not _has_pair(shadow, identity):
+                endpoints = _endpoints(target, identity)
+                shadow.insert_relationship(RelationshipInstance(identity[1], endpoints))
+                applied.add(identity)
+
+        self.report.changelog_applied += len(applied)
+        self._applied_counter.inc(len(applied))
+
+    def _co_stored_partners(self, entity: str, key: Tuple[Any, ...]) -> Set[Identity]:
+        """The entities sharing a co-stored shadow row with ``entity`` ``key``."""
+
+        shadow, schema = self.shadow_crud, self.target_schema
+        family = {entity} | {a.name for a in schema.ancestors_of(entity)}
+        found: Set[Identity] = set()
+        for relationship in schema.relationships():
+            if self.new_mapping.relationship_placement(relationship.name).kind != "co_stored":
+                continue
+            for participant in relationship.participants:
+                if participant.entity in family:
+                    other = schema.hierarchy_root(relationship.other(participant.label).entity)
+                    for partner in shadow.related_keys(relationship.name, participant.entity, key):
+                        found.add(("entity", other.name, partner))
+        return found
 
     def _flip(self) -> None:
         system = self.system
         manager = system.durability
         self._phase_gauge.set(PHASES["flip"])
         with self.old.db.write_lock, self.shadow_db.write_lock:
-            entries = self.changelog.close()
-            if entries:
-                self._apply_entries(entries)
-                self._log_batch("changelog", len(entries), "final")
-            self.report.changelog_captured = self.changelog.captured
+            written = self._round()
+            if written:
+                self._log_batch("changelog", written, "final")
             if manager is not None:
                 self.report.flip_lsn = manager.log_migration(
                     {"t": "migration_flip", "mapping": self.new_mapping.name}
@@ -455,6 +596,7 @@ class OnlineMigrator:
         if system.durability is not None:
             shadow.durability = system.durability
             self.old.db.durability = None
+        self.old.db.retired = True
         system._publish(layout)
 
     def _revert_swap(self) -> None:
@@ -462,21 +604,17 @@ class OnlineMigrator:
         if system.durability is not None:
             self.old.db.durability = system.durability
             self.shadow_db.durability = None
+        self.old.db.retired = False
         system._publish(self.old)
-        # the closed changelog would make every retried write fail forever;
-        # the old templates are live again, so detach it
-        self.old.crud.changelog = None
 
     def _abort(self, reason: str) -> None:
         """Tear down a failed migration, leaving the old layout serving."""
 
         system = self.system
-        with self.old.db.write_lock:
-            self.old.crud.changelog = None
-            try:
-                self.view.close()
-            except Exception:
-                pass
+        try:
+            self.view.close()
+        except Exception:
+            pass
         system.observability.registry.counter("migration.aborted").inc()
         if system.durability is not None:
             try:

@@ -48,30 +48,8 @@ class CrudTemplates:
         self.mapping = mapping
         self.db = db
         self.access = AccessPathBuilder(schema, mapping, db)
-        # An online migration attaches a logical changelog here (see
-        # repro.evolution.online.MigrationChangelog): every committed write
-        # is captured at the entity/relationship level so the migrator can
-        # replay it onto the shadow database.  None means no capture — the
-        # hook is a single attribute check on the write path.
-        self.changelog = None
 
     # ------------------------------------------------------------------ helpers
-
-    def _log_change(self, op: str, args: Any) -> None:
-        """Capture one logical write for an in-flight online migration.
-
-        Called *inside* the write's transaction scope: the changelog
-        registers an undo callback on the current transaction, so a
-        rollback (full or to a statement savepoint) discards the entry with
-        the physical writes.  A *closed* changelog raises
-        :class:`~repro.errors.SerializationError` — a writer that captured
-        this (pre-flip) template object and raced past the flip must fail
-        and retry, at which point it resolves the post-flip templates.
-        """
-
-        log = self.changelog
-        if log is not None:
-            log.record(self.db.transactions.current, op, args)
 
     def _key_dict(self, entity: str, key: Sequence[Any]) -> Dict[str, Any]:
         names = self.schema.effective_key(entity)
@@ -114,7 +92,6 @@ class CrudTemplates:
         validated = validate_entity_instance(self.schema, instance)
         with self.db.transaction():
             self._insert_entity_rows(validated)
-            self._log_change("insert_entity", validated)
         return validated
 
     def insert_entities(self, instances: Sequence[EntityInstance]) -> List[EntityInstance]:
@@ -158,8 +135,6 @@ class CrudTemplates:
                         flush()  # the owner-existence check reads its table
                 self._insert_entity_rows(instance, emit=emit)
             flush()
-            for instance in validated:
-                self._log_change("insert_entity", instance)
         return validated
 
     def _insert_entity_rows(
@@ -467,11 +442,9 @@ class CrudTemplates:
             if name in key_names:
                 raise CrudTemplateError(f"cannot update key attribute {name!r}")
             self.schema.effective_attribute(entity, name)  # raises if unknown
-        key_values = tuple(key_equals[k] for k in key_names)
         with self.db.transaction():
             for name, value in changes.items():
                 self._update_attribute(entity, key_equals, name, value)
-            self._log_change("update_entity", (entity, key_values, dict(changes)))
 
     def _update_attribute(
         self, entity: str, key_equals: Dict[str, Any], name: str, value: Any
@@ -563,7 +536,6 @@ class CrudTemplates:
             touched += self._delete_relationship_traces(entity, key_values)
             touched += self._delete_multivalued(entity, key_values)
             touched += self._delete_base_rows(entity, key_equals, key_values)
-            self._log_change("delete_entity", (entity, key_values))
         return touched
 
     def _delete_multivalued(self, entity: str, key_values: Tuple[Any, ...]) -> int:
@@ -702,7 +674,6 @@ class CrudTemplates:
         relationship = self.schema.relationship(validated.relationship_set)
         with self.db.transaction():
             self._insert_relationship_rows(validated, relationship, placement)
-            self._log_change("insert_relationship", validated)
         return validated
 
     def insert_relationships(
@@ -736,8 +707,6 @@ class CrudTemplates:
                     flush()
                     self._insert_relationship_rows(instance, relationship, placement)
             flush()
-            for instance in validated:
-                self._log_change("insert_relationship", instance)
         return validated
 
     def _join_table_row(
@@ -871,9 +840,6 @@ class CrudTemplates:
                 value = (value,)
             normalized[role] = tuple(value)
         with self.db.transaction():
-            # logged up front: if a branch below raises, the joined scope's
-            # savepoint rollback discards the entry with the physical writes
-            self._log_change("delete_relationship", (relationship, dict(normalized)))
             if placement.kind in ("join_table", "co_stored"):
                 # participant order, so a full set of endpoints is the table's key
                 roles = sorted(normalized, key=rel.labels().index)

@@ -105,6 +105,12 @@ class Database:
         #: hub, installed by :class:`~repro.system.ErbiumDB`).  ``None`` on a
         #: bare engine: execution stays uninstrumented.
         self.observability: Optional[Any] = None
+        #: Set by an online migration's flip (and cleared if the flip
+        #: reverts): this database no longer serves, so a write that still
+        #: reaches it — through pre-flip templates, a raw call or a service
+        #: built before the flip — raises the retryable SerializationError
+        #: instead of landing where no reader will look.
+        self.retired = False
 
     # ------------------------------------------------------------------ DDL
 
@@ -269,11 +275,14 @@ class Database:
         When the attached durability manager has degraded to READ_ONLY, the
         statement is rejected up front with
         :class:`~repro.errors.ReadOnlyError` — mutating memory for a write
-        the log could never persist would let memory and log diverge.
+        the log could never persist would let memory and log diverge.  On a
+        database a migration flip retired, the statement is rejected once
+        it holds the writer lock (:meth:`_check_not_retired`).
         """
 
         self._check_writable()
         with self.write_lock:
+            self._check_not_retired()
             try:
                 yield
             finally:
@@ -289,6 +298,20 @@ class Database:
             raise ReadOnlyError(
                 "database is read-only: "
                 f"{durability.health.reason or 'write-ahead log unavailable'}"
+            )
+
+    def _check_not_retired(self) -> None:
+        """Raise :class:`SerializationError` once a migration flip retired this database.
+
+        Callers hold the writer lock, and the flip retires the database while
+        holding it too, so a write either finishes before the flip or sees
+        the flag.
+        """
+
+        if self.retired:
+            raise SerializationError(
+                "an online schema migration flipped while this write was in "
+                "flight; retry the statement against the new layout"
             )
 
     def _check_write_conflict(self, table: Table, row_id: int) -> None:

@@ -192,16 +192,14 @@ class HashIndex(Index):
 class SortedIndex(Index):
     """Ordered index supporting range scans.
 
-    Entries are kept as a sorted list of ``(key, row_id)``.  Deletions are
-    lazy-compacted: a tombstone set avoids O(n) removals on hot paths.
+    Entries are kept as a sorted list of ``(key, row_id)``; a delete removes
+    its entry by binary search, so a slot re-used after a delete (a
+    rolled-back delete re-inserts the row at its old slot) is found again.
     """
-
-    _COMPACT_THRESHOLD = 0.25
 
     def __init__(self, definition: IndexDefinition) -> None:
         super().__init__(definition)
         self._entries: List[Tuple[Tuple[Any, ...], int]] = []
-        self._tombstones: set = set()
 
     def insert(self, row_id: int, row: Dict[str, Any]) -> None:
         key = _key_of(row, self.columns)
@@ -218,13 +216,10 @@ class SortedIndex(Index):
         self._entries.sort()
 
     def delete(self, row_id: int, row: Dict[str, Any]) -> None:
-        self._tombstones.add(row_id)
-        if len(self._tombstones) > self._COMPACT_THRESHOLD * max(len(self._entries), 1):
-            self._compact()
-
-    def _compact(self) -> None:
-        self._entries = [e for e in self._entries if e[1] not in self._tombstones]
-        self._tombstones.clear()
+        entry = (_key_of(row, self.columns), row_id)
+        position = bisect.bisect_left(self._entries, entry)
+        if position < len(self._entries) and self._entries[position] == entry:
+            del self._entries[position]
 
     def lookup(self, key: Tuple[Any, ...]) -> List[int]:
         key = tuple(key)
@@ -233,8 +228,7 @@ class SortedIndex(Index):
         for k, row_id in self._entries[lo:]:
             if k != key:
                 break
-            if row_id not in self._tombstones:
-                out.append(row_id)
+            out.append(row_id)
         return out
 
     def range(
@@ -263,16 +257,14 @@ class SortedIndex(Index):
                 else:
                     if key >= high_t:
                         break
-            if row_id not in self._tombstones:
-                out.append(row_id)
+            out.append(row_id)
         return out
 
     def clear(self) -> None:
         self._entries.clear()
-        self._tombstones.clear()
 
     def __len__(self) -> int:
-        return len(self._entries) - len(self._tombstones)
+        return len(self._entries)
 
 
 def create_index(definition: IndexDefinition) -> Index:

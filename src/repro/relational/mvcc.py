@@ -296,6 +296,17 @@ class TableView:
         for row in self._snapshot.rows:
             yield dict(row)
 
+    def rows_at(self, slots: np.ndarray) -> List[Dict[str, Any]]:
+        """The pinned rows stored in table slots ``slots`` (ascending ids);
+        slots dead or unborn at the pinned version are skipped."""
+
+        snapshot = self._snapshot
+        ids = snapshot.slot_ids
+        positions = np.searchsorted(ids, slots)
+        hit = positions < len(ids)
+        hit[hit] = ids[positions[hit]] == slots[hit]
+        return [snapshot.rows[p] for p in positions[hit].tolist()]
+
     def is_live(self, row_id: int) -> bool:
         return 0 <= row_id < self._snapshot.row_count
 

@@ -187,6 +187,17 @@ class Table:
                 self._dirty = []
         self._version += 1
 
+    def written_since(self, version: int) -> np.ndarray:
+        """Ascending ids of the slots whose :meth:`row_version` exceeds ``version``.
+
+        Every slot a write touched after a read view pinned ``version``:
+        inserted, updated, deleted, restored by an undo or cut by a
+        truncate.  The stamp list never shrinks, so a slot a truncate cut
+        still reports that write.
+        """
+
+        return np.flatnonzero(np.array(self._row_versions, dtype=np.int64) > version)
+
     def _stamp(self, row_id: int) -> None:
         """Publish a write of one slot and stamp it with the new version."""
 
@@ -198,6 +209,14 @@ class Table:
             if row_id > len(versions):
                 versions.extend([0] * (row_id - len(versions)))
             versions.append(self._version)
+
+    def _stamp_range(self, start: int, stop: int) -> None:
+        """Stamp slots ``[start, stop)`` with the current version."""
+
+        versions = self._row_versions
+        if len(versions) < stop:
+            versions.extend([0] * (stop - len(versions)))
+        versions[start:stop] = [self._version] * (stop - start)
 
     def column_data(self, columns: Iterable[str]) -> Dict[str, ColumnData]:
         """Column-major snapshot of the requested columns over live rows.
@@ -297,7 +316,7 @@ class Table:
         self._rows = rows
         self._live_count = len(live_ids)
         self._publish()
-        self._row_versions = [self._version] * slots
+        self._stamp_range(0, slots)
         for index in self._indexes.values():
             index.clear()
             for row_id, row in self.rows_with_ids():
@@ -331,10 +350,7 @@ class Table:
         if applied:
             stop = start + len(validated)
             self._publish(range(start, stop))
-            versions = self._row_versions
-            if len(versions) < stop:
-                versions.extend([0] * (stop - len(versions)))
-            versions[start:stop] = [self._version] * (stop - start)
+            self._stamp_range(start, stop)
         return applied
 
     def apply_delete_slot(self, row_id: int) -> bool:
@@ -469,7 +485,7 @@ class Table:
         self._rows.extend(new_rows)
         self._live_count += batch.length
         self._publish(range(start, start + batch.length))
-        self._row_versions.extend([self._version] * batch.length)
+        self._stamp_range(start, start + batch.length)
         for index in self._indexes.values():
             if isinstance(index, HashIndex):
                 icols = index.columns
@@ -531,7 +547,7 @@ class Table:
         self._rows = []
         self._live_count = 0
         self._publish()
-        self._row_versions.clear()
+        self._stamp_range(0, len(self._row_versions))
         for index in self._indexes.values():
             index.clear()
 
@@ -542,7 +558,7 @@ class Table:
         self._rows = list(live)
         self._live_count = len(live)
         self._publish()
-        self._row_versions = [self._version] * len(live)
+        self._stamp_range(0, max(len(live), len(self._row_versions)))
         for index in self._indexes.values():
             index.clear()
             for row_id, row in enumerate(self._rows):

@@ -196,13 +196,19 @@ class TransactionManager:
         finish; a nested ``begin`` on the owning thread raises (the lock is
         reentrant, so only the misuse check distinguishes the two).
         ``snapshot_watermarks`` attaches first-committer-wins conflict state
-        for transactions upgraded from a snapshot read view.
+        for transactions upgraded from a snapshot read view.  A database an
+        online migration's flip retired refuses with the retryable
+        :class:`~repro.errors.SerializationError` (a ``TransactionError``).
         """
 
         self._db.write_lock.acquire()
-        if self.in_transaction():
+        try:
+            if self.in_transaction():
+                raise TransactionError("a transaction is already active")
+            self._db._check_not_retired()
+        except TransactionError:
             self._db.write_lock.release()
-            raise TransactionError("a transaction is already active")
+            raise
         self._current = Transaction(self._db)
         self._owner = threading.get_ident()
         self._current.snapshot_watermarks = (

@@ -165,7 +165,7 @@ class ErbiumDB:
         # (Metrics counters carry their own locks in the registry.)
         self._cache_lock = threading.Lock()
         # Serializes online migrations: the protocol assumes one shadow
-        # database and one changelog at a time (held for the whole run).
+        # database at a time (held for the whole run).
         self._migration_lock = threading.Lock()
         self._implicit_session = Session(self, autocommit=True)
 
@@ -310,10 +310,10 @@ class ErbiumDB:
         Runs the durable online protocol (see ``docs/evolution.md``): the
         migration lifecycle is WAL-logged, existing data is backfilled into
         a shadow database in bounded batches under an MVCC read view while
-        reads and writes keep serving against the old layout, concurrent
-        writes are captured in a changelog and replayed, and an atomic flip
-        swaps the system to the new layout with a synchronous checkpoint as
-        the durable commit point.  A crash at any moment recovers to exactly
+        reads and writes keep serving against the old layout, catch-up rounds
+        re-copy every key written since from committed state, and an atomic
+        flip swaps the system to the new layout (retiring the old database)
+        with a synchronous checkpoint as the durable commit point.  A crash at any moment recovers to exactly
         the old layout or exactly the new one — never a mix.
 
         Returns an :class:`~repro.evolution.online.OnlineMigrationReport`;

@@ -1,7 +1,7 @@
 """Differential parity: online migration vs. the offline Migrator.
 
-The online protocol (backfill under a read view + changelog replay + flip)
-must be *observationally identical* to the offline one (quiesce, extract,
+The online protocol (backfill under a read view + catch-up by key re-copy +
+flip) must be *observationally identical* to the offline one (quiesce, extract,
 transform, reload).  Each test runs both against systems loaded from the
 same seed — the online one while concurrent reader (and, for remaps, writer)
 sessions keep hitting it — and compares the full logical content plus query
@@ -34,9 +34,10 @@ from repro.evolution import (
 )
 from repro.evolution.migration import _extract_instances
 from repro.evolution.online import OnlineMigrator
+from repro.governance import ErasureService
 from repro import ErbiumDB
 from repro.erql import Planner
-from repro.mapping import CrudTemplates, named_mapping
+from repro.mapping import CrudTemplates, MappingSpec, named_mapping
 from repro.workloads.synthetic import (
     build_synthetic_schema,
     generate_synthetic_data,
@@ -290,12 +291,12 @@ def test_reads_inside_the_flip_see_one_whole_layout(source, target, monkeypatch)
 
 
 def test_remap_with_concurrent_writer_matches_offline_with_same_writes(monkeypatch):
-    """Writes captured by the changelog == the same writes applied quiesced.
+    """Writes re-copied by catch-up == the same writes applied quiesced.
 
     A writer thread updates/deletes/inserts against the online system while
     it remaps M1→M6.  The first backfill batch holds the migration until
-    half the writes committed, so those are captured; the rest race the
-    backfill, the drain and the flip (stale-template losers are retried).
+    half the writes committed, so those are re-copied; the rest race the
+    backfill, the catch-up rounds and the flip (losers retry).
     Every write is then applied to a quiesced copy *before* its offline
     migration.  Both worlds must converge to identical content.
     """
@@ -351,8 +352,8 @@ def test_remap_with_concurrent_writer_matches_offline_with_same_writes(monkeypat
                     committed.append((op, key, payload))
                     break
                 except SerializationError:
-                    # the flip closed the changelog mid-write; the statement
-                    # rolled back — retry resolves the new templates
+                    # the flip retired the old database mid-write; the
+                    # statement rolled back — retry resolves the new layout
                     assert attempt == 1
             if len(committed) * 2 >= len(ops):
                 half_committed.set()
@@ -363,8 +364,11 @@ def test_remap_with_concurrent_writer_matches_offline_with_same_writes(monkeypat
     thread.join(timeout=60)
     assert not thread.is_alive(), "the writer did not finish"
     assert len(committed) == len(ops)  # every write committed exactly once
-    assert report.changelog_captured >= len(ops) // 2
-    assert report.changelog_applied == report.changelog_captured
+    # every write committed after the backfill's view was pinned, so each
+    # written key differs from its backfilled copy and is re-copied at least
+    # once; a key decoded in a round can still match (its write came later)
+    assert report.changelog_applied >= len({key for _, key, _ in committed})
+    assert report.changelog_captured >= report.changelog_applied
     assert report.reconcile is not None and report.reconcile.ok
 
     # replay the same writes on the quiesced copy, then migrate offline
@@ -386,7 +390,7 @@ def test_remap_with_concurrent_writer_matches_offline_with_same_writes(monkeypat
 
 
 # --------------------------------------------------------------------------
-# Deterministic capture: writes between backfill batches
+# Deterministic catch-up: writes between backfill batches
 # --------------------------------------------------------------------------
 
 # ``a`` and ``b`` both have a ``city``: a change to ``a.city`` (inherited by
@@ -422,7 +426,7 @@ def _rolled_back_session(system):
     session.rollback()
 
 
-#: write groups, one per backfill batch; each write is one changelog entry
+#: write groups, one per backfill batch
 CAPTURED_WRITES = [
     lambda s: (
         s.insert("a", {"id": 100, "city": "new", "street": "n"}),
@@ -438,7 +442,18 @@ CAPTURED_WRITES = [
     lambda s: (s.link("ab", {"a": 7, "b": 0}), s.unlink("ab", {"a": 0, "b": 0})),
     _rolled_back_session,
 ]
-COMMITTED_ENTRIES, ROLLED_BACK_ENTRIES = 10, 2
+#: What the first catch-up round decodes from the slots those writes touched
+#: — ``(entity, key)`` or ``(relationship, a, b)``: every written entity key,
+#: and each written join row's pair with both endpoints.  The rolled-back
+#: insert leaves a slot that is empty in both views, so it decodes nothing.
+DECODED = (
+    {("a", k) for k in (100, 101, 1, 9, 5, 2, 3, 7, 0)}
+    | {("b", k) for k in (1, 2, 3, 0)}
+    | {("ab", 2, 2), ("ab", 3, 3), ("ab", 7, 0), ("ab", 0, 0)}
+)
+#: Decoded but already as the backfill copied them: endpoints a delete or a
+#: (un)link only passed through, and b0, whose update rolled back.
+UNCHANGED = {("a", 3), ("a", 7), ("a", 0), ("b", 2), ("b", 0)}
 
 CAPTURE_CHANGES = [
     ("rename_attribute", lambda: RenameAttribute("a", "city", "town")),
@@ -455,13 +470,14 @@ def test_writes_between_backfill_batches_match_offline(label, make_change, monke
     online = _two_cities_system()
     offline = _two_cities_system()
     old_templates = online.crud
+    old_erasure = ErasureService(online.schema, online.mapping, online.db)
 
     pending = list(CAPTURED_WRITES)
     log_batch = OnlineMigrator._log_batch
 
     def write_between_batches(migrator, kind, count, detail):
         log_batch(migrator, kind, count, detail)
-        # the "changelog" calls run under the writer lock: leave them be
+        # write during the backfill only, not between catch-up rounds
         if kind in ("entities", "relationships") and pending:
             pending.pop(0)(migrator.system)
 
@@ -469,8 +485,13 @@ def test_writes_between_backfill_batches_match_offline(label, make_change, monke
     report = online.migrate_online(change=make_change(), batch_size=3)
     monkeypatch.undo()
     assert not pending, "fewer backfill batches than write groups"
-    assert report.changelog_captured == COMMITTED_ENTRIES + ROLLED_BACK_ENTRIES
-    assert report.changelog_applied == COMMITTED_ENTRIES
+    applied = DECODED - UNCHANGED
+    if label == "drop_relationship":  # the target has no pairs to re-copy
+        applied = {identity for identity in applied if identity[0] != "ab"}
+    if label == "drop_attribute":  # a9's and a5's writes set only the dropped city
+        applied -= {("a", 9), ("a", 5)}
+    assert report.changelog_captured == len(DECODED)
+    assert report.changelog_applied == len(applied)
     assert report.reconcile is not None and report.reconcile.ok
 
     for writes in CAPTURED_WRITES:
@@ -483,9 +504,12 @@ def test_writes_between_backfill_batches_match_offline(label, make_change, monke
     assert online.get("b", 1) == {"id": 1, "city": "b-moved"}
     assert online.get("a", 102) is None
 
-    # a straggler on the pre-flip templates must retry against the new layout
+    # stragglers on the pre-flip layout must retry against the new one
     with pytest.raises(SerializationError):
         old_templates.insert_entity(EntityInstance("b", {"id": 50, "city": "late"}))
+    with pytest.raises(SerializationError):
+        old_erasure.erase("b", 1)
+    assert online.get("b", 1) == {"id": 1, "city": "b-moved"}
     online.insert("b", {"id": 50, "city": "late"})
     assert online.get("b", 50) == {"id": 50, "city": "late"}
 
@@ -506,3 +530,182 @@ def test_drop_attribute_keeps_a_same_named_attribute_of_another_entity(online):
     assert get("b", 1) == {"id": 1, "city": "b1"}
     assert get("a", 1) == {"id": 1, "street": "s1"}
     assert get("a_sub", 9) == {"id": 9, "street": "s9", "extra": "e9"}
+
+
+# --------------------------------------------------------------------------
+# Catch-up reads committed state: writers the live templates never see
+# --------------------------------------------------------------------------
+
+
+def _migrate_with_write(system, write, monkeypatch, **migrate_kwargs):
+    """``migrate_online`` with ``write(system)`` run after the first backfill batch."""
+
+    pending = [write]
+    log_batch = OnlineMigrator._log_batch
+
+    def write_after_first_batch(migrator, kind, count, detail):
+        log_batch(migrator, kind, count, detail)
+        if kind == "entities" and pending:
+            pending.pop()(migrator.system)
+
+    monkeypatch.setattr(OnlineMigrator, "_log_batch", write_after_first_batch)
+    report = system.migrate_online(**migrate_kwargs)
+    monkeypatch.undo()
+    assert not pending, "the backfill ran no batch"
+    return report
+
+
+ADVISOR_JOIN_TABLE = MappingSpec(relationship={"advisor": "join_table"})
+
+
+def test_erasure_between_backfill_batches_stays_erased(monkeypatch):
+    """An erasure through a service's own templates is not undone by the flip."""
+
+    system = build_university_system()
+    erasure = ErasureService(system.schema, system.mapping, system.db)
+    before = system.get("student", 20)
+    assert before is not None and before["phone_numbers"]
+    erased = []
+    report = _migrate_with_write(
+        system,
+        lambda s: erased.append(erasure.erase("student", 20)),
+        monkeypatch,
+        new_spec=ADVISOR_JOIN_TABLE,
+        batch_size=8,
+    )
+    assert erased[0].verified
+    assert system.get("student", 20) is None
+    assert system.count("student") == len(system.crud.entity_keys("student"))
+    assert report.changelog_applied >= 1
+    assert report.reconcile is not None and report.reconcile.ok
+
+
+def test_raw_db_write_between_backfill_batches_survives_the_flip(monkeypatch):
+    """A write straight to a table of the old layout reaches the new one."""
+
+    system = build_university_system()
+    old_db = system.db
+
+    def raw_write(db, credits):
+        [row_id] = db.table("student").lookup_ids(("person_id",), (20,))
+        db.update_row("student", row_id, {"tot_credits": credits})
+
+    _migrate_with_write(
+        system,
+        lambda s: raw_write(s.db, 999),
+        monkeypatch,
+        new_spec=ADVISOR_JOIN_TABLE,
+        batch_size=8,
+    )
+    assert system.db is not old_db
+    assert system.get("student", 20)["tot_credits"] == 999
+    # the flip retired the old database: a raw write that reaches it refuses
+    with pytest.raises(SerializationError):
+        raw_write(old_db, 1)
+    assert system.get("student", 20)["tot_credits"] == 999
+
+
+@pytest.mark.parametrize("outcome", ["commit", "rollback"])
+def test_write_transaction_open_across_a_catch_up_pin(outcome, monkeypatch):
+    """A round's view holds committed data only, so a transaction open at
+    its pin is copied by the round after it ends — or never, if it rolls
+    back.  The transaction runs on the migrating thread, the one place it
+    can stay open across a pin (the writer lock is reentrant)."""
+
+    system = _two_cities_system()
+    session = system.session()
+    steps: list = []
+    log_batch = OnlineMigrator._log_batch
+
+    def hook(migrator, kind, count, detail):
+        log_batch(migrator, kind, count, detail)
+        if kind == "entities" and not steps:
+            system.update("b", 2, {"city": "committed"})
+            session.begin()
+            session.update("b", 1, {"city": "open"})
+            session.insert("a", {"id": 200, "city": "open", "street": "o"})
+            steps.append("open")
+        elif kind == "changelog" and steps == ["open"]:
+            shadow = migrator.shadow_crud
+            assert shadow.get_entity("b", (2,)).values["city"] == "committed"
+            assert shadow.get_entity("b", (1,)).values["city"] == "b1"
+            assert shadow.get_entity("a", (200,)) is None
+            getattr(session, outcome)()
+            steps.append(outcome)
+
+    monkeypatch.setattr(OnlineMigrator, "_log_batch", hook)
+    report = system.migrate_online(new_spec=named_mapping(system.schema, "M2"), batch_size=3)
+    monkeypatch.undo()
+    assert steps == ["open", outcome]
+    assert report.reconcile is not None and report.reconcile.ok
+    assert system.get("b", 2)["city"] == "committed"
+    if outcome == "commit":
+        assert system.get("b", 1)["city"] == "open"
+        assert system.get("a", 200) == {"id": 200, "city": "open", "street": "o"}
+    else:
+        assert system.get("b", 1)["city"] == "b1"
+        assert system.get("a", 200) is None
+
+
+def _one_of_each_write(system):
+    """Updates, (un)links, deletes and inserts of strong and weak entities and
+    of both relationships, keys read off ``system`` (same picks on any copy)."""
+
+    partners = {k[0]: system.related("r2_s1", "R2", k) for k in system.crud.entity_keys("R2")}
+    first, second, third = sorted(partners)[:3]
+    moved = next(s1 for s1 in partners[first] if s1 not in partners[third])
+    doomed = next(k for k in system.crud.entity_keys("S1") if k not in partners[first])
+    system.update("R", first, {"r_y": 4242})
+    system.update("S1", moved, {"s1_x": 777})
+    system.link("r2_s1", {"R2": third, "S1": moved})
+    system.unlink("r2_s1", {"R2": first, "S1": moved})
+    system.update("S1", partners[second][-1], {"s1_y": "kept"})
+    system.delete("R", second)  # a co-stored target keeps that S1 in its rows
+    system.delete("S1", doomed)
+    system.insert("S", {"s_id": 9000, "s_x": 1, "s_y": "new"})
+    system.insert("S1", {"s_id": 9000, "s1_id": 0, "s1_x": 2, "s1_y": "new-weak"})
+    system.link("r_s", {"R": third, "S": 9000})
+
+
+@pytest.mark.parametrize(
+    "source,target",
+    [("M1", "M6"), ("M6", "M1"), ("M1", "M5"), ("M5", "M1"), ("M2", "M3"), ("M3", "M4"),
+     ("M4", "M2"), ("M6", "M5")],  # fmt: skip
+    ids=lambda label: label,
+)
+def test_remap_with_writes_between_batches_matches_offline(source, target, monkeypatch):
+    """Every placement kind decodes: co-stored, nested, single-table,
+    disjoint and delta rows, side tables, join tables and FK folds."""
+
+    online = _synthetic_system(source)
+    offline = _synthetic_system(source)
+    target_spec = synthetic_mappings(online.schema)[target]
+    report = _migrate_with_write(
+        online, _one_of_each_write, monkeypatch, new_spec=target_spec, batch_size=16
+    )
+    assert report.reconcile is not None and report.reconcile.ok
+    assert report.changelog_applied > 0
+
+    _one_of_each_write(offline)
+    migrator = Migrator(offline.schema, offline.active_mapping(), offline.db)
+    new_schema, new_mapping, new_db, _ = migrator.migrate(new_spec=target_spec)
+    assert _canonical_content(online.schema, online.mapping, online.db) == (
+        _canonical_content(new_schema, new_mapping, new_db)
+    )
+
+
+def test_raw_truncate_between_backfill_batches_matches_offline(monkeypatch):
+    """A truncate cuts every slot of a table; the rows it cut are still
+    written slots, so their pre-images decode and the shadow drops them."""
+
+    online = _two_cities_system()
+    offline = _two_cities_system()
+    truncate = lambda system: system.db.truncate(system.mapping.entity_placement("b").table)  # noqa: E731
+    _migrate_with_write(online, truncate, monkeypatch, change=RenameAttribute("a", "city", "town"))
+    truncate(offline)
+    migrator = Migrator(offline.schema, offline.active_mapping(), offline.db)
+    new_schema, new_mapping, new_db, _ = migrator.migrate(change=RenameAttribute("a", "city", "town"))
+    assert online.count("b") == 0
+    assert _canonical_content(online.schema, online.mapping, online.db) == (
+        _canonical_content(new_schema, new_mapping, new_db)
+    )

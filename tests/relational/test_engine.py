@@ -89,6 +89,29 @@ class TestIndexes:
         index.delete(0, {"a": 5})
         assert 0 not in index.range(low=(1,), high=(9,))
 
+    def test_sorted_index_finds_a_row_reinserted_at_its_deleted_slot(self):
+        index = SortedIndex(IndexDefinition("i", "t", ("a",), kind="sorted"))
+        for row_id in range(10):
+            index.insert(row_id, {"a": row_id})
+        index.delete(3, {"a": 3})
+        assert index.lookup((3,)) == [] and len(index) == 9
+        index.insert(3, {"a": 3})
+        assert index.lookup((3,)) == [3] and len(index) == 10
+
+    def test_rolled_back_delete_is_visible_to_a_sorted_index_again(self):
+        db = Database()
+        db.create_table("t", [Column("a", INT), Column("b", INT)])
+        db.create_index("t", ["a"], name="t_a_sorted", kind="sorted")
+        db.insert_many("t", [{"a": i, "b": i} for i in range(10)])
+        index = db.table("t").indexes()["t_a_sorted"]
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.delete_ids("t", index.lookup((3,)))
+                assert index.lookup((3,)) == []
+                raise RuntimeError("roll the delete back")
+        assert index.lookup((3,)) == [3]
+        assert index.range(low=(2,), high=(4,)) == [2, 3, 4]
+
     def test_create_index_factory(self):
         assert isinstance(create_index(IndexDefinition("i", "t", ("a",), kind="hash")), HashIndex)
         assert isinstance(create_index(IndexDefinition("i", "t", ("a",), kind="sorted")), SortedIndex)

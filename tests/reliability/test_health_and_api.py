@@ -11,6 +11,7 @@ and the governance-state checkpoint round-trip.
 from __future__ import annotations
 
 import errno
+import time
 
 import pytest
 
@@ -171,6 +172,62 @@ def test_checkpoint_failure_degrades_but_writes_continue(tmp_path):
     recovered = ErbiumDB.open(str(tmp_path / "db"))
     assert len(recovered.query("select i.id from item i").to_tuples()) == 2
     recovered.close()
+
+
+def test_background_probe_heals_a_degraded_system(tmp_path):
+    fs = FaultInjector()
+    system = ErbiumDB.open(
+        str(tmp_path / "db"),
+        name="rel",
+        schema=_item_schema(),
+        fs=fs,
+        probe_interval=0.01,
+        retry=RetryPolicy(sleep=lambda _d: None),
+    )
+    system.set_mapping()
+    system.insert("item", {"id": 1, "val": "a"})
+
+    fs.fail("replace", times=None, errno_code=errno.ENOSPC)
+    with pytest.raises(DurabilityError):
+        system.checkpoint()
+    assert system.health is HealthState.DEGRADED
+    time.sleep(0.05)  # background probes fire and fail against the sticky fault
+    assert system.health is HealthState.DEGRADED
+
+    fs.clear()
+    deadline = time.monotonic() + 10.0
+    while system.health is not HealthState.HEALTHY and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert system.health is HealthState.HEALTHY  # no probe() call from here
+    system.close()
+
+
+def test_commit_sync_adds_one_fsync_and_refuses_when_read_only(tmp_path):
+    fs = FaultInjector()
+    system = _open(tmp_path, fs=fs, fsync="off")
+    session = system.session()
+
+    def fsyncs_of_commit(key, sync):
+        before = fs.counts.get("fsync", 0)
+        session.begin()
+        session.insert("item", {"id": key, "val": "v"})
+        session.commit(sync=sync)
+        return fs.counts.get("fsync", 0) - before
+
+    assert fsyncs_of_commit(1, sync=False) == 0  # fsync="off" never syncs a commit
+    assert fsyncs_of_commit(2, sync=True) == 1
+
+    # a forced sync that fails takes the log down
+    fs.fail("fsync", times=None, errno_code=errno.EIO)
+    with pytest.raises(ReadOnlyError):
+        fsyncs_of_commit(3, sync=True)
+    assert system.health is HealthState.READ_ONLY
+    # read-only: an empty transaction commits, but its forced sync refuses
+    session.begin()
+    with pytest.raises(ReadOnlyError):
+        session.commit(sync=True)
+    assert not session.in_transaction()
+    system.close()
 
 
 def test_describe_surfaces_health_and_retry_counters(tmp_path):
