@@ -14,6 +14,7 @@ across the paper's M1–M6 designs.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -709,3 +710,50 @@ def test_raw_truncate_between_backfill_batches_matches_offline(monkeypatch):
     assert _canonical_content(online.schema, online.mapping, online.db) == (
         _canonical_content(new_schema, new_mapping, new_db)
     )
+
+
+def test_concurrent_writers_lose_no_committed_update():
+    """More writers than cores, a short switch interval: every update that
+    committed on the old layout is in the new one.  Writers stop once they
+    see the flip, so no later write can paper over a lost one."""
+
+    system = _synthetic_system("M1")
+    old_db = system.db
+    keys = [k[0] for k in system.crud.entity_keys("R")]
+    last: dict = {}
+    errors: list = []
+
+    def writer(mine):
+        value = 0
+        try:
+            while system.db is old_db:
+                for key in mine:
+                    value += 1
+                    while True:
+                        try:
+                            system.update("R", key, {"r_y": value})
+                            break
+                        except SerializationError:
+                            pass  # the flip retired the database under us: retry
+                    last[key] = value
+        except Exception as exc:  # pragma: no cover - fails the test below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(keys[i::4],)) for i in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        report = system.migrate_online(
+            new_spec=synthetic_mappings(system.schema)["M6"], batch_size=4
+        )
+    finally:
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads), "a writer did not stop"
+    assert not errors, errors
+    assert report.reconcile is not None and report.reconcile.ok
+    assert report.changelog_applied > 0
+    assert {key: system.get("R", key)["r_y"] for key in last} == last
