@@ -18,13 +18,13 @@ it rebuilds a fresh database while nothing else runs.  The
    section.  The slots written since the previous view are those whose row
    version exceeds that view's watermark; each one's pre-image (previous
    view) and post-image (fresh view) is decoded, through the old mapping's
-   placements, into the entity keys and relationship pairs it carries, and
-   each of those is made equal in the shadow to its state in the fresh
-   view: deleted if gone, inserted if new, its changed attributes updated
-   otherwise.  Catch-up reads committed state, not operations, so it sees
-   every writer — the live templates, a service holding its own, a raw
-   ``db`` call — and a rolled-back write simply re-copies to an unchanged
-   state.  Re-copy is idempotent and order-free.
+   placement descriptor, into the entity keys and relationship pairs it
+   carries, and each of those is made equal in the shadow to its state in
+   the fresh view: deleted if gone, inserted if new, its changed attributes
+   updated otherwise.  Catch-up reads committed state, not operations, so
+   it sees every writer — the live templates, a service holding its own, a
+   raw ``db`` call — and a rolled-back write simply re-copies to an
+   unchanged state.  Re-copy is idempotent and order-free.
 4. **Flip** — holding *both* writer locks (old and shadow), a last round
    runs, ``migration_flip`` is logged, the old database is *retired* (a
    later write that reaches it — a straggler on pre-flip templates, a raw
@@ -48,18 +48,18 @@ property holds unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core import EntityInstance, ERSchema, RelationshipInstance, WeakEntitySet
 from ..errors import CrudTemplateError, MigrationError
 from ..mapping import (
     CrudTemplates,
-    Mapping,
     MappingSpec,
     check_mapping,
     compile_mapping,
     fully_normalized_spec,
 )
+from ..mapping.descriptor import Identity
 from ..relational import Database
 from ..relational.mvcc import ReadView, read_view_scope
 from .changes import SchemaChange
@@ -77,99 +77,6 @@ MAX_CATCHUP_ROUNDS = 8
 
 #: Numeric phase encoding for the ``migration.phase`` gauge.
 PHASES = {"idle": 0, "begin": 1, "backfill": 2, "drain": 3, "flip": 4}
-
-
-#: ``("entity", hierarchy root, key)`` or ``("pair", relationship, left key,
-#: right key)``: one logical instance a physical row carries.
-Identity = Tuple[Any, ...]
-
-
-def _key(row: Dict[str, Any], columns: Tuple[str, ...]) -> Optional[Tuple[Any, ...]]:
-    key = tuple(row.get(c) for c in columns)
-    return None if None in key else key
-
-
-class _RowDecoder:
-    """Decodes a physical row of one layout into the identities it carries.
-
-    Built from the layout's placements: entity keys from own, delta,
-    single, disjoint and co-stored tables and from side-table owner keys;
-    weak keys from nested owner arrays (owner key plus each element's
-    discriminator); relationship pairs from join tables, co-stored role
-    columns and foreign-key folds.  A pair also names its two endpoints,
-    since a co-stored target keeps an entity inside its pair rows.
-    """
-
-    def __init__(self, schema: ERSchema, mapping: Mapping) -> None:
-        specs: Dict[str, Set[Tuple[Any, ...]]] = {}
-
-        def add(table: Optional[str], spec: Tuple[Any, ...]) -> None:
-            if table is not None:
-                specs.setdefault(table, set()).add(spec)
-
-        def root(entity: str) -> str:
-            return schema.hierarchy_root(entity).name
-
-        for name, placement in mapping.entity_placements.items():
-            if placement.kind == "nested_in_owner":
-                owner = mapping.entity_placement(placement.owner_entity)
-                discriminator = tuple(schema.entity(name).discriminator)
-                add(owner.table, ("nested", name, tuple(owner.key_columns),
-                                  placement.array_column, discriminator))  # fmt: skip
-            else:
-                add(placement.table, ("entity", root(name), tuple(placement.key_columns)))
-        for (owner, _), placement in mapping.attribute_placements.items():
-            if placement.kind == "side_table":
-                add(placement.table, ("entity", root(owner), tuple(placement.owner_key_columns)))
-        for relationship in schema.relationships():
-            if relationship.identifying:
-                continue
-            placement = mapping.relationship_placement(relationship.name)
-            left, right = relationship.participants
-            ends = ("pair", relationship.name, root(left.entity), root(right.entity))
-            if placement.kind in ("join_table", "co_stored"):
-                columns = {role: tuple(c) for role, c in placement.role_columns.items()}
-                add(placement.table, ends + (columns[left.label], columns[right.label]))
-            elif placement.kind == "foreign_key":
-                many = relationship.participant(placement.fk_side)
-                one = relationship.other(placement.fk_side)
-                fk = tuple(placement.role_columns[one.label])
-                home = mapping.entity_placement(many.entity)
-                tables = [home.table]
-                if home.kind == "disjoint_table":
-                    tables += [mapping.entity_placement(d.name).table
-                               for d in schema.descendants_of(many.entity)]  # fmt: skip
-                for table in tables:
-                    if table is None or not all(mapping.table(table).has_column(c) for c in fk):
-                        continue
-                    if table == home.table:
-                        key = tuple(home.key_columns)
-                    else:  # a descendant's table: key columns named as attributes
-                        key = tuple(schema.effective_key(many.entity))
-                    columns = {many.label: key, one.label: fk}
-                    add(table, ends + (columns[left.label], columns[right.label]))
-        self.specs = specs
-
-    def decode(self, table: str, row: Dict[str, Any]) -> Iterator[Identity]:
-        for spec in self.specs[table]:
-            if spec[0] == "entity":
-                key = _key(row, spec[2])
-                if key is not None:
-                    yield spec[:2] + (key,)
-            elif spec[0] == "nested":
-                _, weak, owner_columns, array_column, discriminator = spec
-                owner_key = _key(row, owner_columns)
-                if owner_key is not None:
-                    for element in row.get(array_column) or ():
-                        own = tuple(element.get(d) for d in discriminator)
-                        yield ("entity", weak, owner_key + own)
-            else:
-                _, name, left_root, right_root, left_columns, right_columns = spec
-                left, right = _key(row, left_columns), _key(row, right_columns)
-                if left is not None and right is not None:
-                    yield ("pair", name, left, right)
-                    yield ("entity", left_root, left)
-                    yield ("entity", right_root, right)
 
 
 def _instance(crud: CrudTemplates, identity: Identity) -> Optional[EntityInstance]:
@@ -334,7 +241,7 @@ class OnlineMigrator:
         self.carry = _Carry(
             self.change, self.old.schema, target_schema, self.report, self.transform
         )
-        self.decoder = _RowDecoder(self.old.schema, self.old.mapping)
+        self.decoder = self.old.mapping.descriptor(self.old.schema)
 
     def _begin(self) -> None:
         """Pin the view the backfill copies, and log ``migration_begin``.
@@ -443,7 +350,7 @@ class OnlineMigrator:
 
         found: Set[Identity] = set()
         marks, now = before.watermarks(), after.watermarks()
-        for name in self.decoder.specs:
+        for name in self.decoder.tables:
             mark = marks[name]
             if now[name] == mark:
                 continue

@@ -9,19 +9,21 @@ physically stored, erasure becomes a single entity-centric operation:
 
 1. find the instance (and, optionally, instances of weak entity sets owned by
    it — e.g. a person's orders);
-2. collect the physical footprint (for the erasure report / verification);
+2. collect the physical footprint: the rows that carry the instance's key,
+   wherever the mapping's placement descriptor says that key can appear;
 3. delete through the CRUD templates, which also clear relationship rows and
    foreign-key references;
-4. verify the key no longer appears in any physical table, and write an audit
-   record.
+4. verify, through the same descriptor, that no row still carries the key
+   (weak dependants left behind by ``cascade_weak=False`` carry it as their
+   owner key, so they are reported), and write an audit record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core import ERSchema, WeakEntitySet
+from ..core import ERSchema
 from ..errors import GovernanceError
 from ..mapping import CrudTemplates, Mapping
 from ..relational import Database
@@ -74,77 +76,32 @@ class ErasureService:
     # -- discovery ----------------------------------------------------------------
 
     def footprint(self, entity: str, key: Sequence[Any]) -> Dict[str, int]:
-        """How many rows in each physical table hold data about the instance.
+        """How many rows in each physical table carry the instance's key.
 
-        This is the "where is this person's data" inventory.  It is driven by
-        the mapping's placement records — exactly the point the paper makes:
-        the E/R layer *knows* where every attribute, hierarchy member, side
-        table and relationship of an entity lives, so the inventory does not
-        rely on conventions or external documentation.
+        This is the "where is this person's data" inventory, read off the
+        mapping's placement descriptor — exactly the point the paper makes:
+        the E/R layer *knows* every place an entity's key can appear, so the
+        inventory does not rely on conventions or external documentation.
         """
 
-        if not isinstance(key, (tuple, list)):
-            key = (key,)
-        key = tuple(key)
-        counts: Dict[str, int] = {}
+        return {table: len(ids) for table, ids in self._holding(entity, key).items()}
 
-        def count_in(table_name: Optional[str], columns: Sequence[str]) -> None:
-            if not table_name or not self.db.has_table(table_name) or not columns:
-                return
-            table = self.db.catalog.table(table_name)
-            if not all(table.schema.has_column(c) for c in columns):
-                return
-            matched = 0
-            for row in table.rows():
-                if tuple(row.get(c) for c in columns) == key:
-                    matched += 1
-            if matched:
-                counts[table_name] = counts.get(table_name, 0) + matched
+    def _holding(self, entity: str, key: Sequence[Any]) -> Dict[str, Set[int]]:
+        """Ids of the rows, per table, that carry ``key`` of ``entity``'s root."""
 
-        # base tables along the hierarchy chain (and descendants' tables)
-        chain = [entity]
-        chain += [a.name for a in self.schema.ancestors_of(entity)]
-        chain += [d.name for d in self.schema.descendants_of(entity)]
-        for member in chain:
-            placement = self.mapping.entity_placement(member)
-            if placement.kind == "nested_in_owner":
-                continue
-            count_in(placement.table, placement.key_columns[: len(key)])
-
-        # side tables of multi-valued attributes
-        for attribute in self.schema.effective_attributes(entity):
-            if not attribute.is_multivalued():
-                continue
-            declaring = self.schema.owning_entity_of_attribute(entity, attribute.name)
-            try:
-                attr_placement = self.mapping.attribute_placement(declaring.name, attribute.name)
-            except Exception:
-                continue
-            if attr_placement.kind == "side_table":
-                count_in(attr_placement.table, attr_placement.owner_key_columns[: len(key)])
-
-        # relationship structures that reference the instance
-        family = {entity} | {a.name for a in self.schema.ancestors_of(entity)}
-        for relationship in self.schema.relationships():
-            participating = [p for p in relationship.participants if p.entity in family]
-            if not participating:
-                continue
-            placement = self.mapping.relationship_placement(relationship.name)
-            if placement.kind in ("identifying", "nested"):
-                continue
-            for participant in participating:
-                columns = placement.role_columns.get(participant.label, [])
-                if placement.kind == "foreign_key":
-                    if placement.fk_side == participant.label:
-                        # the MANY side's link is its own base row, which the
-                        # hierarchy-chain pass above has already counted
-                        continue
-                    many_participant = relationship.participant(placement.fk_side)
-                    many_placement = self.mapping.entity_placement(many_participant.entity)
-                    count_in(many_placement.table, columns[: len(key)])
-                else:
-                    count_in(placement.table, columns[: len(key)])
-        return counts
+        key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
+        root = self.schema.hierarchy_root(entity).name
+        holding: Dict[str, Set[int]] = {}
+        for site in self.mapping.descriptor(self.schema).sites(root):
+            table = self.db.catalog.table(site.table)
+            ids = [
+                row_id
+                for row_id in table.lookup_ids(site.columns, key[: len(site.columns)])
+                if (root, key) in site.fact.keys(table.get_row(row_id))
+            ]
+            if ids:
+                holding.setdefault(site.table, set()).update(ids)
+        return holding
 
     def dependants(self, entity: str, key: Sequence[Any]) -> List[Tuple[str, Tuple[Any, ...]]]:
         """Weak-entity instances owned by the given instance."""
@@ -202,22 +159,9 @@ class ErasureService:
         return report
 
     def _verify(self, entity: str, key: Sequence[Any]) -> List[str]:
-        """Tables in which the erased instance's key still appears as a key."""
+        """Tables in which the erased instance's key still appears."""
 
         residual = []
         if self.crud.get_entity(entity, key) is not None:
             residual.append(f"entity {entity!r} still reconstructible")
-        placement = self.mapping.entity_placement(entity)
-        key_columns = placement.key_columns
-        for table_name in self.mapping.table_names():
-            if not self.db.has_table(table_name):
-                continue
-            table = self.db.catalog.table(table_name)
-            columns = [c for c in key_columns if table.schema.has_column(c)]
-            if len(columns) != len(key_columns):
-                continue
-            for row in table.rows():
-                if tuple(row.get(c) for c in columns) == tuple(key):
-                    residual.append(table_name)
-                    break
-        return residual
+        return residual + sorted(self._holding(entity, key))

@@ -596,7 +596,7 @@ class AccessPathBuilder:
         placement = self.mapping.relationship_placement(relationship)
         rel = self.schema.relationship(relationship)
         left_role = self._role_for(rel, left_entity)
-        right_role = self._role_for(rel, right_entity)
+        right_role = self._role_for(rel, right_entity, taken=left_role)
 
         if placement.kind == "co_stored":
             return self._join_co_stored(
@@ -703,10 +703,13 @@ class AccessPathBuilder:
             plan = Rename(plan, renames)
         return plan
 
-    def _role_for(self, rel, entity: str) -> str:
+    def _role_for(self, rel, entity: str, taken: Optional[str] = None) -> str:
+        """The first role ``entity`` can play in ``rel`` other than ``taken``
+        (a self-relationship's two sides take different roles)."""
+
         family = {entity} | {a.name for a in self.schema.ancestors_of(entity)}
         for participant in rel.participants:
-            if participant.entity in family:
+            if participant.entity in family and participant.label != taken:
                 return participant.label
         raise PlanningError(
             f"entity {entity!r} does not participate in relationship {rel.name!r}"
@@ -729,7 +732,7 @@ class AccessPathBuilder:
 
         rel = self.schema.relationship(relationship)
         left_role = self._role_for(rel, left_entity)
-        right_role = self._role_for(rel, right_entity)
+        right_role = self._role_for(rel, right_entity, taken=left_role)
         scan_alias = f"{relationship}__costored"
         plan: PlanNode = SeqScan(placement.table, alias=scan_alias)
         presence = [

@@ -37,6 +37,7 @@ from ..core import (
 from ..errors import CrudTemplateError, InstanceError
 from ..relational import Database
 from .access import AccessPathBuilder, qualified
+from .descriptor import PairFact
 from .physical import Mapping
 
 
@@ -615,41 +616,29 @@ class CrudTemplates:
         return removed
 
     def _delete_relationship_traces(self, entity: str, key_values: Tuple[Any, ...]) -> int:
-        """Remove or neutralize relationship rows that reference the instance."""
+        """Remove or neutralize relationship rows that reference the instance.
+
+        Reads the pair sites of the key's hierarchy root, both sides of a
+        self-relationship included: join and co-stored rows go; a fold that
+        references the key has its foreign-key and attribute columns nulled.
+        (A fold whose own key this is sits in the instance's base row, which
+        :meth:`_delete_base_rows` deletes.)
+        """
 
         removed = 0
-        family = {entity} | {a.name for a in self.schema.ancestors_of(entity)}
-        for relationship in self.schema.relationships():
-            if not any(p.entity in family for p in relationship.participants):
+        root = self.schema.hierarchy_root(entity).name
+        for site in self.mapping.descriptor(self.schema).sites(root):
+            fact = site.fact
+            if not isinstance(fact, PairFact):
                 continue
-            placement = self.mapping.relationship_placement(relationship.name)
-            role = None
-            for participant in relationship.participants:
-                if participant.entity in family:
-                    role = participant.label
-                    break
-            if role is None or placement.kind in ("identifying", "nested"):
+            row_ids = self._row_ids(site.table, site.columns, key_values)
+            if fact.kind != "fold":
+                removed += self.db.delete_ids(site.table, row_ids)
                 continue
-            if placement.kind in ("join_table", "co_stored"):
-                removed += self.db.delete_ids(
-                    placement.table,
-                    self._row_ids(placement.table, placement.role_columns[role], key_values),
-                )
-            elif placement.kind == "foreign_key":
-                if placement.fk_side == role:
-                    continue  # the instance's own row is deleted separately
-                fk_columns = placement.role_columns[role]
-                many_participant = relationship.participant(placement.fk_side)
-                for table_name in self._fk_tables(many_participant.entity):
-                    table = self.db.catalog.table(table_name)
-                    if not all(table.schema.has_column(c) for c in fk_columns):
-                        continue
-                    changes = {c: None for c in fk_columns}
-                    changes.update({c: None for c in placement.attribute_columns.values()
-                                    if table.schema.has_column(c)})
-                    for row_id in self._row_ids(table_name, fk_columns, key_values):
-                        self.db.update_row(table_name, row_id, changes)
-                        removed += 1
+            changes = dict.fromkeys(site.columns + fact.attribute_columns)
+            for row_id in row_ids:
+                self.db.update_row(site.table, row_id, changes)
+                removed += 1
         return removed
 
     def _fk_tables(self, entity: str) -> List[str]:

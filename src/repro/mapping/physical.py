@@ -47,9 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core import ERSchema
 from ..errors import MappingError
 from ..relational import Column, Database
 from ..relational.types import DataType
+from .descriptor import PlacementDescriptor
 
 
 @dataclass
@@ -142,6 +144,7 @@ class Mapping:
         self.entity_placements: Dict[str, EntityPlacement] = {}
         self.attribute_placements: Dict[Tuple[str, str], AttributePlacement] = {}
         self.relationship_placements: Dict[str, RelationshipPlacement] = {}
+        self._descriptor: Optional[PlacementDescriptor] = None
 
     # -- construction helpers (used by the strategies/mapper) ---------------
 
@@ -189,6 +192,13 @@ class Mapping:
                 f"mapping {self.name!r} does not place relationship {relationship!r}"
             )
         return self.relationship_placements[relationship]
+
+    def descriptor(self, schema: ERSchema) -> PlacementDescriptor:
+        """Which facts each physical row carries, built on first use."""
+
+        if self._descriptor is None or self._descriptor.schema is not schema:
+            self._descriptor = PlacementDescriptor(schema, self)
+        return self._descriptor
 
     def table_names(self) -> List[str]:
         return sorted(self.tables)

@@ -89,16 +89,6 @@ class Batch:
         data = {c: [row.get(c) for row in rows] for c in columns}
         return cls(columns, data, len(rows))
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[str], data: Dict[str, ColumnData]) -> "Batch":
-        length = len(data[columns[0]]) if columns else 0
-        for name in columns:
-            if len(data[name]) != length:
-                raise ExecutionError(
-                    f"batch column {name!r} has length {len(data[name])}, expected {length}"
-                )
-        return cls(columns, data, length)
-
     # -- basic access --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -145,7 +135,7 @@ class Batch:
         ``indices`` may be a Python sequence or a numpy integer array; every
         position must be in ``[0, len(self))`` — out-of-range (including
         negative) indices raise :class:`ExecutionError` instead of wrapping
-        or failing midway, matching :meth:`from_columns` strictness.
+        or failing midway.
         """
 
         _check_indices(indices, self.length)

@@ -51,16 +51,6 @@ class Index:
     def insert(self, row_id: int, row: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def insert_batch(self, start_row_id: int, rows: Sequence[Dict[str, Any]]) -> None:
-        """Insert ``rows`` occupying consecutive ids from ``start_row_id``.
-
-        The base implementation loops :meth:`insert`; concrete indexes
-        override it to build their postings in one pass.
-        """
-
-        for offset, row in enumerate(rows):
-            self.insert(start_row_id + offset, row)
-
     def delete(self, row_id: int, row: Dict[str, Any]) -> None:
         raise NotImplementedError
 
@@ -115,15 +105,6 @@ class HashIndex(Index):
 
     def insert(self, row_id: int, row: Dict[str, Any]) -> None:
         self._add(self._key(row), row_id)
-
-    def insert_batch(self, start_row_id: int, rows: Sequence[Dict[str, Any]]) -> None:
-        column = self._single
-        if column is not None:
-            keys = [row[column] for row in rows]
-        else:
-            columns = self.columns
-            keys = [tuple(row[c] for c in columns) for row in rows]
-        self.insert_key_batch(start_row_id, keys)
 
     def insert_key_batch(self, start_row_id: int, keys: Sequence[Any]) -> None:
         """Bulk-insert precomputed keys for consecutive row ids.

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from ..errors import ExecutionError
 from .batch import ColumnData
 from .typed import Splice, splice_column
 
@@ -228,9 +227,10 @@ class TableView:
     * :meth:`column_data` — the batch executor's scan fast path (returns the
       pinned column lists by reference; unknown columns come back all-NULL,
       matching ``Table.column_data``);
-    * :meth:`rows` / :meth:`scan` / :meth:`rows_with_ids` — the row
-      executor's iteration surface, over the table's own stored row dicts
-      the snapshot holds (nothing is materialized);
+    * :meth:`rows` — the row executor's iteration surface, over the
+      table's own stored row dicts the snapshot holds (nothing is
+      materialized);
+    * :meth:`rows_at` — the pinned rows of given slots (online catch-up);
     * :meth:`lookup` / :meth:`lookup_ids` — equality access paths
       (``IndexLookup``, index nested-loop joins); a hash map per key-column
       tuple is built lazily *on the shared snapshot*, so point reads pay the
@@ -248,16 +248,6 @@ class TableView:
         self.schema = snapshot.schema
 
     # -- metadata ----------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self._snapshot.name
-
-    @property
-    def version(self) -> int:
-        """The pinned data version (the view's watermark for this table)."""
-
-        return self._snapshot.version
 
     @property
     def row_count(self) -> int:
@@ -287,15 +277,6 @@ class TableView:
 
         return iter(self._snapshot.rows)
 
-    def rows_with_ids(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        return enumerate(self._snapshot.rows)
-
-    def scan(self) -> Iterator[Dict[str, Any]]:
-        """Iterate copies of live rows (safe to mutate downstream)."""
-
-        for row in self._snapshot.rows:
-            yield dict(row)
-
     def rows_at(self, slots: np.ndarray) -> List[Dict[str, Any]]:
         """The pinned rows stored in table slots ``slots`` (ascending ids);
         slots dead or unborn at the pinned version are skipped."""
@@ -306,16 +287,6 @@ class TableView:
         hit = positions < len(ids)
         hit[hit] = ids[positions[hit]] == slots[hit]
         return [snapshot.rows[p] for p in positions[hit].tolist()]
-
-    def is_live(self, row_id: int) -> bool:
-        return 0 <= row_id < self._snapshot.row_count
-
-    def get_row(self, row_id: int) -> Dict[str, Any]:
-        if not self.is_live(row_id):
-            raise ExecutionError(
-                f"invalid row id {row_id} for view of table {self.name!r}"
-            )
-        return self._snapshot.rows[row_id]
 
     # -- lookups -----------------------------------------------------------
 
@@ -330,7 +301,7 @@ class TableView:
         return list(self._snapshot.lookup_map(tuple(columns)).get(tuple(key), ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TableView {self.name}@v{self.version} rows={self.row_count}>"
+        return f"<TableView {self._snapshot.name}@v{self._snapshot.version} rows={len(self)}>"
 
 
 class ReadView:

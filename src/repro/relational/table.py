@@ -143,13 +143,6 @@ class Table:
             if row is not None:
                 yield row_id, row
 
-    def scan(self) -> Iterator[Dict[str, Any]]:
-        """Iterate copies of live rows (safe to mutate downstream)."""
-
-        for row in self._rows:
-            if row is not None:
-                yield dict(row)
-
     # -- columnar access -----------------------------------------------------
 
     @property

@@ -83,14 +83,14 @@ def empty_db():
 def table_scans(monkeypatch):
     """Names of the tables walked row by row while the test runs.
 
-    Every ``Table.rows`` / ``rows_with_ids`` / ``scan`` call is recorded:
+    Every ``Table.rows`` / ``rows_with_ids`` call is recorded:
     the walk a key lookup falls back to when no index is on exactly its
     columns, and the row executor's sequential scans.  ``del
     table_scans[:]`` opens a new window.
     """
 
     scans = []
-    for name in ("rows", "rows_with_ids", "scan"):
+    for name in ("rows", "rows_with_ids"):
 
         def counted(table, _walk=getattr(Table, name)):
             scans.append(table.name)

@@ -287,11 +287,17 @@ class TestPlannerExecution:
         )
         assert len(result) > 0
 
-    def test_self_relationship_join(self, university_system):
-        result = university_system.query(
-            "select c.course_id, p.course_id from course c join course p on prereq"
+    def test_self_relationship_join(self, university_system, university_data):
+        loaded = sorted(
+            (r.endpoint("course")[0], r.endpoint("prerequisite")[0])
+            for r in university_data.relationships
+            if r.relationship_set == "prereq"
         )
-        assert len(result) > 0
+        assert loaded
+        query = "select c.course_id, p.course_id from course c join course p on prereq"
+        for executor in ("row", "batch"):
+            result = university_system.query(query, executor=executor)
+            assert result.sorted_tuples() == loaded, executor
 
     def test_weak_entity_identifying_join(self, university_system):
         result = university_system.query(
