@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core import EntityInstance, ERSchema, RelationshipInstance, WeakEntitySet
-from ..errors import CrudTemplateError, MigrationError
+from ..errors import MigrationError
 from ..mapping import (
     CrudTemplates,
     MappingSpec,
@@ -363,15 +363,13 @@ class OnlineMigrator:
     def _recopy(self, written: Set[Identity], view: ReadView) -> None:
         """Make each identity in the shadow what it is in ``view``.
 
-        Pairs the view lacks go first, then entities the view lacks or holds
-        as another type (dependants first), then entity inserts and
-        attribute updates (owners first), then pairs the shadow lacks.  An
-        entity on both sides as the same type is updated in place, never
-        re-inserted, so relationship rows the round did not touch keep
-        their traces.  A co-stored target keeps entities inside pair rows:
-        deleting a pair or an entity there can take another entity's rows
-        with it, so pairs carry their endpoints and a deleted entity's
-        co-stored partners join the round.
+        Pairs the view lacks go first.  Then, owners first, an entity the
+        view lacks or holds as another type is deleted (the instances it
+        owns go with it), and one the view holds is inserted or has its
+        changed attributes updated; then the pairs the shadow lacks are
+        linked.  An entity on both sides as the same type is updated in
+        place, never re-inserted, so relationship rows the round did not
+        touch keep their traces.
         """
 
         old, shadow = self.old.crud, self.shadow_crud
@@ -387,28 +385,16 @@ class OnlineMigrator:
             if identity not in kept and _has_pair(shadow, identity):
                 shadow.delete_relationship(identity[1], _endpoints(target, identity))
                 applied.add(identity)
-        by_depth = lambda identity: _owner_depth(target, identity[1])  # noqa: E731
-        partners: Set[Identity] = set()
-        copies: Dict[Identity, Optional[EntityInstance]] = {}
-        for identity in sorted(entities, key=by_depth, reverse=True):
+        inserts: List[EntityInstance] = []
+        for identity in sorted(entities, key=lambda i: _owner_depth(target, i[1])):
             source, copy = sources[identity], _instance(shadow, identity)
-            while copy is not None and (source is None or source.entity_set != copy.entity_set):
-                partners |= self._co_stored_partners(copy.entity_set, identity[2])
+            if copy is not None and (source is None or source.entity_set != copy.entity_set):
                 shadow.delete_entity(copy.entity_set, identity[2])
                 applied.add(identity)
-                deleted, copy = copy.entity_set, _instance(shadow, identity)
-                if copy is not None and copy.entity_set == deleted:
-                    raise CrudTemplateError(f"could not delete {identity} from the shadow")
-            copies[identity] = copy
-        with read_view_scope(view):
-            sources.update({p: _instance(old, p) for p in partners - entities})
-        inserts: List[EntityInstance] = []
-        for identity in sorted(entities | partners, key=by_depth):
-            if sources[identity] is None:
+                copy = None
+            if source is None:
                 continue
-            [carried] = self.carry.entities([sources[identity]])
-            # a shadow delete can take other entities' rows with it: read again
-            copy = _instance(shadow, identity) if applied else copies[identity]
+            [carried] = self.carry.entities([source])
             if copy is None:
                 inserts.append(carried)
                 applied.add(identity)
@@ -432,22 +418,6 @@ class OnlineMigrator:
 
         self.report.changelog_applied += len(applied)
         self._applied_counter.inc(len(applied))
-
-    def _co_stored_partners(self, entity: str, key: Tuple[Any, ...]) -> Set[Identity]:
-        """The entities sharing a co-stored shadow row with ``entity`` ``key``."""
-
-        shadow, schema = self.shadow_crud, self.target_schema
-        family = {entity} | {a.name for a in schema.ancestors_of(entity)}
-        found: Set[Identity] = set()
-        for relationship in schema.relationships():
-            if self.new_mapping.relationship_placement(relationship.name).kind != "co_stored":
-                continue
-            for participant in relationship.participants:
-                if participant.entity in family:
-                    other = schema.hierarchy_root(relationship.other(participant.label).entity)
-                    for partner in shadow.related_keys(relationship.name, participant.entity, key):
-                        found.add(("entity", other.name, partner))
-        return found
 
     def _flip(self) -> None:
         system = self.system

@@ -7,15 +7,16 @@ tables, often without the foreign keys to help link the data".  Because the
 ErbiumDB mapping knows where every attribute and relationship of an entity is
 physically stored, erasure becomes a single entity-centric operation:
 
-1. find the instance (and, optionally, instances of weak entity sets owned by
-   it — e.g. a person's orders);
+1. find the instance and the instances of weak entity sets owned by it —
+   e.g. a person's orders;
 2. collect the physical footprint: the rows that carry the instance's key,
    wherever the mapping's placement descriptor says that key can appear;
-3. delete through the CRUD templates, which also clear relationship rows and
-   foreign-key references;
+3. delete through the CRUD templates, whose one delete rule walks the same
+   sites: it deletes the owned instances first, then clears relationship
+   rows and foreign-key references along with the instance's own rows;
 4. verify, through the same descriptor, that no row still carries the key
-   (weak dependants left behind by ``cascade_weak=False`` carry it as their
-   owner key, so they are reported), and write an audit record.
+   (a weak dependant's row carries it as its owner key), and write an audit
+   record.
 """
 
 from __future__ import annotations
@@ -93,12 +94,7 @@ class ErasureService:
         root = self.schema.hierarchy_root(entity).name
         holding: Dict[str, Set[int]] = {}
         for site in self.mapping.descriptor(self.schema).sites(root):
-            table = self.db.catalog.table(site.table)
-            ids = [
-                row_id
-                for row_id in table.lookup_ids(site.columns, key[: len(site.columns)])
-                if (root, key) in site.fact.keys(table.get_row(row_id))
-            ]
+            ids = self.crud.holding(site, root, key)
             if ids:
                 holding.setdefault(site.table, set()).update(ids)
         return holding
@@ -106,15 +102,7 @@ class ErasureService:
     def dependants(self, entity: str, key: Sequence[Any]) -> List[Tuple[str, Tuple[Any, ...]]]:
         """Weak-entity instances owned by the given instance."""
 
-        if not isinstance(key, (tuple, list)):
-            key = (key,)
-        out: List[Tuple[str, Tuple[Any, ...]]] = []
-        owner_key_length = len(self.schema.effective_key(entity))
-        for weak in self.schema.weak_entities_of(entity):
-            for weak_key in self.crud.entity_keys(weak.name):
-                if tuple(weak_key[:owner_key_length]) == tuple(key):
-                    out.append((weak.name, tuple(weak_key)))
-        return out
+        return self.crud.dependants(entity, key if isinstance(key, (tuple, list)) else (key,))
 
     # -- erasure -----------------------------------------------------------------------
 
@@ -123,9 +111,8 @@ class ErasureService:
         entity: str,
         key: Sequence[Any],
         principal: Optional[str] = None,
-        cascade_weak: bool = True,
     ) -> ErasureReport:
-        """Erase one entity instance (and optionally its weak dependants)."""
+        """Erase one entity instance and the weak instances it owns."""
 
         if not isinstance(key, (tuple, list)):
             key = (key,)
@@ -137,12 +124,8 @@ class ErasureService:
                 f"no instance of {entity!r} with key {tuple(key)} exists"
             )
 
-        report = ErasureReport(entity=entity, key=tuple(key))
-        if cascade_weak:
-            for weak_entity, weak_key in self.dependants(entity, key):
-                report.rows_removed += self.crud.delete_entity(weak_entity, weak_key)
-                report.dependants_erased.append((weak_entity, weak_key))
-        report.rows_removed += self.crud.delete_entity(entity, key)
+        report = ErasureReport(entity, tuple(key), dependants_erased=self.dependants(entity, key))
+        report.rows_removed = self.crud.delete_entity(entity, key)
 
         report.residual_occurrences = self._verify(entity, key)
         report.verified = not report.residual_occurrences

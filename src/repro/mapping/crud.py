@@ -37,7 +37,7 @@ from ..core import (
 from ..errors import CrudTemplateError, InstanceError
 from ..relational import Database
 from .access import AccessPathBuilder, qualified
-from .descriptor import PairFact
+from .descriptor import KeyFact, NestedFact, PairFact, Site
 from .physical import Mapping
 
 
@@ -525,121 +525,76 @@ class CrudTemplates:
 
         Returns the number of physical rows removed or modified.  This is the
         entity-centric deletion primitive the paper motivates for GDPR-style
-        erasure: side-table rows, hierarchy rows, relationship rows and
-        foreign-key references are all cleared.
+        erasure.  The key goes from every site of its hierarchy root, so from
+        every member's rows whichever member ``entity`` names, after the weak
+        instances it owns.
         """
 
         key_equals = self._key_dict(entity, key)
-        key_names = self.schema.effective_key(entity)
-        key_values = tuple(key_equals[k] for k in key_names)
-        touched = 0
-        with self.db.transaction():
-            touched += self._delete_relationship_traces(entity, key_values)
-            touched += self._delete_multivalued(entity, key_values)
-            touched += self._delete_base_rows(entity, key_equals, key_values)
-        return touched
-
-    def _delete_multivalued(self, entity: str, key_values: Tuple[Any, ...]) -> int:
-        removed = 0
-        for attribute in self.schema.effective_attributes(entity):
-            if not attribute.is_multivalued():
-                continue
-            placement = self.access._attribute_placement(entity, attribute.name)
-            if placement.kind != "side_table":
-                continue
-            removed += self.db.delete_ids(
-                placement.table,
-                self._row_ids(placement.table, placement.owner_key_columns, key_values),
-            )
-        return removed
-
-    def _delete_base_rows(
-        self, entity: str, key_equals: Dict[str, Any], key_values: Tuple[Any, ...]
-    ) -> int:
-        removed = 0
-        placement = self.mapping.entity_placement(entity)
-        key_names = self.schema.effective_key(entity)
-
-        if placement.kind == "nested_in_owner":
-            owner = placement.owner_entity
-            owner_key_names = self.schema.effective_key(owner)
-            owner_key = tuple(key_equals[k] for k in owner_key_names)
-            weak = self.schema.entity(entity)
-            assert isinstance(weak, WeakEntitySet)
-            owner_placement = self.mapping.entity_placement(owner)
-            table = self.db.catalog.table(owner_placement.table)
-            for row_id in self._row_ids(
-                owner_placement.table, owner_placement.key_columns, owner_key
-            ):
-                elements = list(table.get_row(row_id).get(placement.array_column) or [])
-                target = tuple(key_equals[d] for d in weak.discriminator)
-                kept = [
-                    e
-                    for e in elements
-                    if tuple(e.get(d) for d in weak.discriminator) != target
-                ]
-                if len(kept) != len(elements):
-                    self.db.update_row(
-                        owner_placement.table, row_id, {placement.array_column: kept}
-                    )
-                    removed += 1
-            return removed
-
-        if placement.kind == "co_stored":
-            return self.db.delete_ids(
-                placement.table,
-                self._row_ids(placement.table, placement.key_columns, key_values),
-            )
-
-        # Plain, delta, single-table and disjoint layouts: delete from the
-        # member's own table plus any ancestor tables carrying the instance.
-        tables = []
-        for member in self._hierarchy_chain(entity):
-            member_placement = self.mapping.entity_placement(member)
-            if member_placement.table and member_placement.table not in tables:
-                tables.append(member_placement.table)
-        # Descendant tables may also carry this key (the instance might be a
-        # more specific subtype); under entity-level delete we remove it there
-        # too so no dangling delta rows remain.
-        for descendant in self.schema.descendants_of(entity):
-            descendant_placement = self.mapping.entity_placement(descendant.name)
-            if descendant_placement.table and descendant_placement.table not in tables:
-                tables.append(descendant_placement.table)
-        for table_name in tables:
-            table = self.db.catalog.table(table_name)
-            key_columns = self._key_columns_on_table(entity, table_name)
-            if not all(table.schema.has_column(c) for c in key_columns):
-                continue
-            removed += self.db.delete_ids(
-                table_name, self._row_ids(table_name, key_columns, key_values)
-            )
-        return removed
-
-    def _delete_relationship_traces(self, entity: str, key_values: Tuple[Any, ...]) -> int:
-        """Remove or neutralize relationship rows that reference the instance.
-
-        Reads the pair sites of the key's hierarchy root, both sides of a
-        self-relationship included: join and co-stored rows go; a fold that
-        references the key has its foreign-key and attribute columns nulled.
-        (A fold whose own key this is sits in the instance's base row, which
-        :meth:`_delete_base_rows` deletes.)
-        """
-
-        removed = 0
         root = self.schema.hierarchy_root(entity).name
+        with self.db.transaction():
+            return self._delete(root, tuple(key_equals.values()))
+
+    def _delete(self, root: str, key: Tuple[Any, ...]) -> int:
+        """The one delete rule, by the fact each site's rows carry: a key
+        row goes, a nested element leaves its array, a join row goes, a fold
+        has its foreign-key and attribute columns nulled, and a co-stored
+        row loses the pair (:meth:`_unpair`)."""
+
+        touched = 0
+        for weak, weak_key in self.dependants(root, key):
+            touched += self._delete(weak, weak_key)
         for site in self.mapping.descriptor(self.schema).sites(root):
             fact = site.fact
-            if not isinstance(fact, PairFact):
-                continue
-            row_ids = self._row_ids(site.table, site.columns, key_values)
-            if fact.kind != "fold":
-                removed += self.db.delete_ids(site.table, row_ids)
-                continue
-            changes = dict.fromkeys(site.columns + fact.attribute_columns)
-            for row_id in row_ids:
-                self.db.update_row(site.table, row_id, changes)
-                removed += 1
-        return removed
+            if isinstance(fact, KeyFact) and fact.owner_of is not None:
+                continue  # the rows of its dependants, deleted above
+            row_ids = self.holding(site, root, key)
+            touched += len(row_ids)
+            if isinstance(fact, NestedFact):
+                table = self.db.catalog.table(site.table)
+                discriminator = key[len(site.columns) :]
+                for row_id in row_ids:
+                    elements = table.get_row(row_id).get(fact.array_column) or []
+                    kept = [
+                        e for e in elements
+                        if tuple(e.get(d) for d in fact.discriminator) != discriminator
+                    ]
+                    self.db.update_row(site.table, row_id, {fact.array_column: kept})
+            elif isinstance(fact, KeyFact) or fact.kind == "join":
+                self.db.delete_ids(site.table, row_ids)
+            elif fact.kind == "fold":
+                changes = dict.fromkeys(site.columns + fact.attribute_columns)
+                for row_id in row_ids:
+                    self.db.update_row(site.table, row_id, changes)
+            else:
+                dropped = fact.columns.index(site.columns)
+                for row_id in row_ids:
+                    self._unpair(site.table, fact.columns, row_id, dropped)
+        return touched
+
+    def holding(self, site: Site, root: str, key: Tuple[Any, ...]) -> List[int]:
+        """Ids of the rows at ``site`` that carry ``key`` of hierarchy root ``root``."""
+
+        table = self.db.catalog.table(site.table)
+        return [
+            row_id
+            for row_id in self._row_ids(site.table, site.columns, key[: len(site.columns)])
+            if (root, key) in site.fact.keys(table.get_row(row_id))
+        ]
+
+    def dependants(self, entity: str, key: Sequence[Any]) -> List[Tuple[str, Tuple[Any, ...]]]:
+        """The weak instances ``key`` owns, read at its owner-key sites."""
+
+        key = tuple(key)
+        root = self.schema.hierarchy_root(entity).name
+        descriptor = self.mapping.descriptor(self.schema)
+        found: List[Tuple[str, Tuple[Any, ...]]] = []
+        for site in descriptor.sites(root):
+            if isinstance(site.fact, KeyFact) and site.fact.owner_of is not None:
+                table = self.db.catalog.table(site.table)
+                for row_id in self.holding(site, root, key):
+                    found += descriptor.owned(site, table.get_row(row_id))
+        return list(dict.fromkeys(found))  # a co-stored weak key has one row per pair
 
     def _fk_tables(self, entity: str) -> List[str]:
         tables = []
@@ -774,13 +729,9 @@ class CrudTemplates:
                 f"cannot link {relationship.name!r}: right instance {tuple(right_key)} not found"
             )
 
-        def side_values(row_id: int, prefix_columns: List[str]) -> Dict[str, Any]:
+        def side_values(row_id: int, key_columns: List[str]) -> Dict[str, Any]:
             row = table.get_row(row_id)
-            return {
-                c: row.get(c)
-                for c in table.schema.column_names()
-                if any(c.startswith(p.split("__")[0] + "__") for p in prefix_columns)
-            }
+            return {c: row.get(c) for c in self._side_columns(placement.table, key_columns)}
 
         left_values = side_values(left_rows[0], left_columns)
         right_values = side_values(right_rows[0], right_columns)
@@ -816,6 +767,51 @@ class CrudTemplates:
         if placeholders and len(placeholders) < len(right_ids):
             self.db.delete_ids(placement.table, placeholders)
 
+    def _side_columns(self, table_name: str, key_columns: Sequence[str]) -> List[str]:
+        """The columns one participant's rows carry in a co-stored table: its
+        ``entity__`` columns and the foreign keys folded onto it."""
+
+        prefix = key_columns[0].split("__")[0] + "__"
+        table = self.db.catalog.table(table_name)
+        columns = [c for c in table.schema.column_names() if c.startswith(prefix)]
+        for fact in self.mapping.descriptor(self.schema).tables[table_name]:
+            if isinstance(fact, PairFact) and fact.kind == "fold" and (
+                fact.columns[fact.own_side] == tuple(key_columns)
+            ):
+                columns += fact.columns[1 - fact.own_side] + fact.attribute_columns
+        return columns
+
+    def _unpair(
+        self,
+        table_name: str,
+        sides: Tuple[Tuple[str, ...], ...],
+        row_id: int,
+        dropped: Optional[int] = None,
+    ) -> None:
+        """Take the pair out of one co-stored row.
+
+        Each participant other than side ``dropped`` whose only row in the
+        table this is stays, as a placeholder row holding its own columns
+        only; the row goes when no side stays.  That is the invariant the
+        inserts keep: an entity has one placeholder row or its pair rows.
+        """
+
+        row = self.db.catalog.table(table_name).get_row(row_id)
+        kept = []
+        for side, columns in enumerate(sides):
+            key = tuple(row[c] for c in columns)
+            if side == dropped or None in key:
+                continue
+            if len(self._row_ids(table_name, columns, key)) == 1:
+                kept.append(self._side_columns(table_name, columns))
+        if not kept:
+            self.db.delete_ids(table_name, [row_id])
+            return
+        first, *rest = kept
+        self.db.update_row(table_name, row_id, {c: None for c in row if c not in first})
+        for columns in rest:
+            self.db.insert(table_name, {c: row[c] for c in columns})
+
     def delete_relationship(
         self, relationship: str, endpoints: Dict[str, Sequence[Any]]
     ) -> int:
@@ -834,9 +830,20 @@ class CrudTemplates:
                 roles = sorted(normalized, key=rel.labels().index)
                 columns = [c for role in roles for c in placement.role_columns[role]]
                 key = [v for role in roles for v in normalized[role]]
-                return self.db.delete_ids(
-                    placement.table, self._row_ids(placement.table, columns, key)
-                )
+                row_ids = self._row_ids(placement.table, columns, key)
+                if placement.kind == "join_table":
+                    return self.db.delete_ids(placement.table, row_ids)
+                # an unlink takes the pair only: both entities stay
+                sides = tuple(tuple(placement.role_columns[label]) for label in rel.labels())
+                table = self.db.catalog.table(placement.table)
+                pairs = [
+                    row_id
+                    for row_id in row_ids
+                    if all(table.get_row(row_id)[c] is not None for side in sides for c in side)
+                ]
+                for row_id in pairs:
+                    self._unpair(placement.table, sides, row_id)
+                return len(pairs)
             if placement.kind == "foreign_key":
                 many_role = placement.fk_side
                 many_participant = rel.participant(many_role)

@@ -6,7 +6,7 @@ back, per physical table, as the facts one row carries.  Its inverse,
 :meth:`PlacementDescriptor.sites`, lists every ``(table, columns)`` where a
 hierarchy root's key can appear.  Online catch-up decodes written rows
 through it, erasure counts and verifies the rows that carry a key, and the
-CRUD delete clears the relationship rows that reference one.
+CRUD delete walks every site of a key, after the weak instances it owns.
 
 The law it obeys is the lens round-trip: decoding every row of a load gives
 exactly the loaded entity keys and pairs (Bohannon, Pierce & Vaughan,
@@ -37,8 +37,8 @@ def _key(row: Dict[str, Any], columns: Tuple[str, ...]) -> Optional[Tuple[Any, .
 class KeyFact:
     """An entity key in ``columns``, named by its hierarchy root: own, delta,
     single, disjoint and co-stored rows, side-table owner keys, and the
-    owner key a weak entity's row carries (``owner_of`` names the weak
-    entity)."""
+    owner key of a row that carries weak instances, as their own row or as
+    nested elements (``owner_of`` names the weak entity)."""
 
     root: str
     columns: Tuple[str, ...]
@@ -118,12 +118,15 @@ class PlacementDescriptor:
             entity = schema.entity(name)
             if placement.kind == "nested_in_owner":
                 owner = mapping.entity_placement(placement.owner_entity)
+                owner_columns = tuple(owner.key_columns)
                 self._add(owner.table, NestedFact(
-                    name, tuple(owner.key_columns), placement.array_column,
-                    tuple(entity.discriminator),
+                    name, owner_columns, placement.array_column, tuple(entity.discriminator),
                 ))  # fmt: skip
+                self._add(owner.table, KeyFact(root(entity.owner), owner_columns, name))
                 continue
-            self._add(placement.table, KeyFact(root(name), tuple(placement.key_columns)))
+            # a co-stored key's site is its pair site, which also finds placeholder rows
+            self._add(placement.table, KeyFact(root(name), tuple(placement.key_columns)),
+                      site=placement.kind != "co_stored")  # fmt: skip
             if isinstance(entity, WeakEntitySet):
                 width = len(schema.effective_key(entity.owner))
                 owner_columns = tuple(placement.key_columns[:width])
@@ -169,11 +172,13 @@ class PlacementDescriptor:
                     side,
                 ))  # fmt: skip
 
-    def _add(self, table: str, fact: Fact) -> None:
+    def _add(self, table: str, fact: Fact, site: bool = True) -> None:
         facts = self.tables.setdefault(table, [])
         if fact in facts:  # hierarchy members sharing one table
             return
         facts.append(fact)
+        if not site:
+            return
         if not isinstance(fact, PairFact):
             self._sites.setdefault(fact.root, []).append(Site(table, fact.columns, fact))
             return
@@ -185,6 +190,15 @@ class PlacementDescriptor:
         """Every place the key of hierarchy root ``root`` can appear."""
 
         return self._sites.get(root, [])
+
+    def owned(self, site: Site, row: Dict[str, Any]) -> Iterator[Tuple[str, Tuple[Any, ...]]]:
+        """The weak instances one row at an owner-key site (a ``KeyFact``
+        with ``owner_of``) carries: the weak entity's own key, or each
+        element of its nested array."""
+
+        for fact in self.tables[site.table]:
+            if _names_entity(fact) and fact.root == site.fact.owner_of:
+                yield from fact.keys(row)
 
     def decode(self, table: str, row: Dict[str, Any]) -> Iterator[Identity]:
         """The entity keys and pairs one row of ``table`` carries.
@@ -200,5 +214,11 @@ class PlacementDescriptor:
                 if len(ends) == 2:
                     yield ("pair", fact.relationship, ends[0][1], ends[1][1])
                     yield from (("entity", root, key) for root, key in ends)
-            elif isinstance(fact, NestedFact) or fact.owner_of is None:
+            elif _names_entity(fact):
                 yield from (("entity", root, key) for root, key in fact.keys(row))
+
+
+def _names_entity(fact: Fact) -> bool:
+    """Whether ``fact`` holds instances of its root, not owner-key references."""
+
+    return isinstance(fact, NestedFact) or (isinstance(fact, KeyFact) and fact.owner_of is None)

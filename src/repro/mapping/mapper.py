@@ -522,6 +522,11 @@ class MappingCompiler:
         for cols in role_columns.values():
             table.add_index(cols)
         table.add_index([c for cols in role_columns.values() for c in cols])
+        for participant in relationship.participants:
+            entity = self.schema.entity(participant.entity)
+            if isinstance(entity, WeakEntitySet):  # its owner's dependants
+                width = len(self.schema.effective_key(entity.owner))
+                table.add_index(role_columns[participant.label][:width])
         self.mapping.add_table(table)
         self.mapping.place_relationship(
             RelationshipPlacement(

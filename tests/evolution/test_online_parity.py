@@ -653,15 +653,17 @@ def _one_of_each_write(system):
     of both relationships, keys read off ``system`` (same picks on any copy)."""
 
     partners = {k[0]: system.related("r2_s1", "R2", k) for k in system.crud.entity_keys("R2")}
-    first, second, third = sorted(partners)[:3]
+    first, second, third, fourth = sorted(partners)[:4]
     moved = next(s1 for s1 in partners[first] if s1 not in partners[third])
     doomed = next(k for k in system.crud.entity_keys("S1") if k not in partners[first])
+    lone = next(s1 for s1 in partners[fourth] if sum(s1 in p for p in partners.values()) == 1)
     system.update("R", first, {"r_y": 4242})
     system.update("S1", moved, {"s1_x": 777})
     system.link("r2_s1", {"R2": third, "S1": moved})
     system.unlink("r2_s1", {"R2": first, "S1": moved})
+    system.unlink("r2_s1", {"R2": fourth, "S1": lone})  # co-stored, S1 keeps its row
     system.update("S1", partners[second][-1], {"s1_y": "kept"})
-    system.delete("R", second)  # a co-stored target keeps that S1 in its rows
+    system.delete("R", second)  # a co-stored layout keeps its S1s as placeholders
     system.delete("S1", doomed)
     system.insert("S", {"s_id": 9000, "s_x": 1, "s_y": "new"})
     system.insert("S1", {"s_id": 9000, "s1_id": 0, "s1_x": 2, "s1_y": "new-weak"})

@@ -147,7 +147,7 @@ class TestDerivedIndexes:
             assert ("r_s_s_id",) in tables["M4"][name].indexes
         costored = tables["M6"]["r2_s1_costored"].indexes
         roles = [("r2__r_id",), ("s1__s_id", "s1__s1_id")]
-        assert roles + [roles[0] + roles[1]] == costored
+        assert roles + [roles[0] + roles[1], ("s1__s_id",)] == costored  # + S1's owner key
 
     def test_online_migration_installs_them(self):
         system = _synthetic_system("M1")

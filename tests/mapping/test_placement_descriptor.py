@@ -1,5 +1,5 @@
 """The placement descriptor and its three readers: catch-up decoding,
-erasure, and the delete's relationship traces.
+erasure, and the CRUD delete rule.
 
 The law: decoding every row of a load gives exactly the loaded entity
 identities and non-identifying pairs, under every mapping (the lens
@@ -106,22 +106,129 @@ def test_erasing_through_a_supertype_leaves_no_row_holding_the_key(label):
 
 
 @pytest.mark.parametrize("label", MAPPING_LABELS)
-def test_erasing_an_owner_without_cascade_reports_its_weak_dependants(label):
+def test_erasing_an_owner_erases_its_weak_dependants(label):
     system, _ = _load("university", label)
     erasure = ErasureService(system.schema, system.mapping, system.db)
     course = system.crud.entity_keys("course")[0]
     sections = erasure.dependants("course", course)
-    assert sections
+    assert sections and all(entity == "section" for entity, _ in sections)
 
-    report = erasure.erase("course", course, cascade_weak=False)
+    report = erasure.erase("course", course)
 
-    left = [key for _, key in sections if system.get("section", key) is not None]
-    if system.mapping.entity_placement("section").kind == "nested_in_owner":
-        assert left == [] and report.verified  # folded into the deleted course row
-    else:
-        assert left == [key for _, key in sections]
-        assert not report.verified
-        assert system.mapping.entity_placement("section").table in report.residual_occurrences
+    assert [key for _, key in sections if system.get("section", key) is not None] == []
+    assert report.dependants_erased == sections
+    assert report.verified and report.residual_occurrences == []
+
+
+# -- the delete rule ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", MAPPING_LABELS)
+def test_unlinking_a_pair_keeps_both_entities(label):
+    system, _ = _load("synthetic", label)
+    assert sorted(system.related("r2_s1", "R2", 30)) == [(22, 1), (28, 2)]  # (28, 2)'s only pair
+
+    assert system.unlink("r2_s1", {"R2": 30, "S1": (28, 2)}) == 1
+
+    assert system.get("S1", (28, 2)) is not None
+    assert system.get("R2", 30) is not None
+    assert system.related("r2_s1", "R2", 30) == [(22, 1)]
+    system.link("r2_s1", {"R2": 33, "S1": (28, 2)})
+    assert (28, 2) in system.related("r2_s1", "R2", 33)
+
+
+@pytest.mark.parametrize("label", MAPPING_LABELS)
+def test_deleting_a_subtype_deletes_the_key_from_its_whole_hierarchy(label):
+    system, _ = _load("synthetic", label)
+    assert system.get("R2", 31) is not None
+
+    system.delete("R2", 31)
+
+    assert system.get("R2", 31) is None
+    assert system.get("R", 31) is None
+    assert (31,) not in system.crud.entity_keys("R")
+
+
+@pytest.mark.parametrize("label", MAPPING_LABELS)
+def test_deleting_an_owner_deletes_its_weak_dependants(label):
+    system, _ = _load("university", label)
+    sections = [key for key in system.crud.entity_keys("section") if key[0] == 2]
+    assert len(sections) == 2
+
+    system.delete("course", 2)
+
+    assert [key for key in sections if system.get("section", key) is not None] == []
+    for relationship in ("takes", "teaches"):
+        pairs = system.crud.relationship_pairs(relationship)
+        assert [pair for pair in pairs if pair[1] in sections] == [], relationship
+
+
+#: one fixed write sequence per schema: a delete through a supertype, an
+#: unlink then re-link of a (co-stored under M6) pair, a delete of an owner
+#: with weak dependants, a delete of a subtype; then the keys they touched
+SEQUENCES = {
+    "synthetic": (
+        lambda s: (
+            s.delete("R", 32),  # an R2, paired with (2, 0) and (23, 1)
+            s.unlink("r2_s1", {"R2": 30, "S1": (28, 2)}),
+            s.link("r2_s1", {"R2": 33, "S1": (28, 2)}),
+            s.delete("S", 22),  # owns S1 (22, 0) and (22, 1), which have pairs
+            s.delete("R2", 31),
+        ),
+        [("R", (k,)) for k in (30, 31, 32, 33, 34, 37)]
+        + [("R2", (k,)) for k in (30, 31, 32, 33, 34, 37)]
+        + [("S", (k,)) for k in (22, 27)]
+        + [("S1", k) for k in ((2, 0), (23, 1), (28, 2), (22, 0), (22, 1), (16, 0), (17, 0))]
+        + [("S2", (22, k)) for k in range(3)],
+    ),
+    "university": (
+        lambda s: (
+            s.delete("person", 5),  # a student, with an advisor and four sections
+            s.unlink("takes", {"student": 4, "section": (0, 1)}),
+            s.link("takes", {"student": 7, "section": (0, 1)}),
+            s.delete("course", 2),  # owns sections (2, 0) and (2, 1)
+            s.delete("instructor", 3),  # advises six students
+        ),
+        [("person", (k,)) for k in (3, 4, 5, 6, 7)]
+        + [("student", (k,)) for k in (4, 5, 6, 7)]
+        + [("instructor", (k,)) for k in (1, 3)]
+        + [("course", (k,)) for k in (0, 2, 3)]
+        + [("section", k) for k in ((0, 1), (2, 0), (2, 1), (1, 0))],
+    ),
+}
+
+
+def _observe(system, touched):
+    """``get``, ``related`` and ``get_documents`` of every touched key."""
+
+    schema, seen = system.schema, {}
+    for entity, key in touched:
+        seen[("get", entity, key)] = system.get(entity, key)
+        for relationship in schema.relationships():
+            if not relationship.identifying and entity in relationship.entity_names():
+                seen[(relationship.name, entity, key)] = sorted(
+                    system.related(relationship.name, entity, key)
+                )
+        if schema.weak_entities_of(entity):
+            seen[("documents", entity, key)] = system.crud.get_documents(entity, [key])
+    return seen
+
+
+@pytest.mark.parametrize("dataset", sorted(SEQUENCES))
+def test_one_write_sequence_reads_the_same_under_every_mapping(dataset, table_scans):
+    writes, touched = SEQUENCES[dataset]
+    observed = {}
+    for label in MAPPING_LABELS:
+        system, _ = _load(dataset, label)
+        for name in system.db.catalog.table_names():
+            # the cost model's statistics sample walks each table once; take it now
+            system.db.statistics.stats_for(system.db.catalog.table(name), tolerate_drift=True)
+        del table_scans[:]
+        writes(system)
+        assert table_scans == [], label  # every write finds its rows by key
+        observed[label] = _observe(system, touched)
+    for label in MAPPING_LABELS:
+        assert observed[label] == observed["M1"], label
 
 
 def test_erasure_report_describes_itself():
